@@ -237,8 +237,8 @@ def _drain(trace, config: RunConfig) -> float:
 
 
 def test_scale_sweep(report):
-    """The tentpole acceptance number: the compressed active-set loop vs
-    the dense exact loop on a streamed million-activation workload, at
+    """Round compression's payoff: compressed vs uncompressed runs of
+    the one event loop on a streamed million-activation workload, at
     processor counts into the thousands.  One measurement per point —
     the baseline alone is minutes of wall clock at P=4096."""
     stream = SyntheticStream(SCALE_SPEC)
@@ -261,8 +261,8 @@ def test_scale_sweep(report):
         })
     peak_rss_mb = round(_rss_mb(), 1)
     section = {
-        "what": "streamed 1e6-activation mostly-idle section, dense "
-                "exact loop vs compressed active-set loop "
+        "what": "streamed 1e6-activation mostly-idle section, "
+                "uncompressed vs compressed run of the one event loop "
                 "(accumulate-and-discard on both sides)",
         "active_cycles": SCALE_SPEC.active_cycles,
         "activations": SCALE_SPEC.total_activations,

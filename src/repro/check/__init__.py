@@ -21,8 +21,9 @@ Quick use::
     assert report.ok, report.failures[0].describe()
 
 :func:`mutated_right_token_cost` exists so tests can prove the harness
-has teeth: it mis-prices right tokens in the optimized loop only, which
-the oracle matrix must catch.
+has teeth: it mis-prices right tokens in the simulator's event loop
+but not in the frozen reference loop, which the oracle matrix must
+catch.
 """
 
 from contextlib import contextmanager
@@ -38,11 +39,12 @@ from .shrink import shrink_program, shrink_trace
 
 @contextmanager
 def mutated_right_token_cost(extra_us: float):
-    """Test-only: mis-price right tokens in the optimized loop.
+    """Test-only: mis-price right tokens in the simulator's event loop.
 
     Inside the block every right token costs ``extra_us`` more in
-    :func:`repro.mpc.simulate`'s fast path — and nowhere else — so a
-    working oracle matrix must flag every trace with right activations.
+    :func:`repro.mpc.simulator.simulate_cycle` — in every mode, but not
+    in the frozen reference loop — so a working oracle matrix must flag
+    every trace with right activations.
     """
     from ..mpc import simulator
     saved = simulator._TEST_MUTATE_RIGHT_TOKEN_US

@@ -4,12 +4,12 @@ Each oracle takes one generated case and checks a pair of execution
 paths that are documented to produce *identical* results.  The pairs:
 
 ``opt_vs_reference``
-    The optimized event loop (:func:`repro.mpc.simulate`) against the
-    preserved original loop (:mod:`repro.mpc._reference`), field for
+    The simulator's one event loop (:func:`repro.mpc.simulate`) against
+    the preserved original loop (:mod:`repro.mpc._reference`), field for
     field on every cycle.
 ``compressed_vs_exact``
-    ``RunConfig(compress_rounds=True)`` — the O(active-work) loop with
-    analytic idle-round compression — expanded back to per-cycle form
+    ``RunConfig(compress_rounds=True)`` — sparse per-processor results
+    and run-length encoded idle rounds — expanded back to per-cycle form
     against the reference loop: every counter bitwise identical, every
     makespan bit-identical (far inside the documented 1e-12 budget).
 ``compressed_vs_exact_faults``
@@ -18,18 +18,19 @@ paths that are documented to produce *identical* results.  The pairs:
     exact faulty loop: fault draws are keyed to absolute cycle
     indices, so idle-round compression may not move a single fault.
 ``fault_null_dispatch``
-    ``RunConfig(faults=<null FaultModel>)`` must dispatch onto the exact
-    fault-free path: bit-identical results, fault counters included.
+    ``RunConfig(faults=<null FaultModel>)`` must leave the loop's
+    reliable-delivery hook off: bit-identical results, fault counters
+    included.
 ``protocol_zero_fault``
-    The raw fault/protocol loop run with a null fault model prices acks
+    The one loop called directly with its reliable-delivery hook on and
+    a null fault model prices acks
     (they are part of the reliable-delivery protocol, not of a fault),
     so at :data:`~repro.mpc.ZERO_OVERHEADS` — where acks are free — its
-    timing fields must equal the fault-free loop's exactly.  Message
+    timing fields must equal the fault-free run's exactly.  Message
     and ack counters are excluded by design.
 ``recorder_invisible``
     Passing a :class:`~repro.mpc.timeline.TimelineRecorder` must not
-    change any result field (the recorded loop is a mirror of the fast
-    one).
+    change any result field (the recording hook only appends spans).
 ``actors_vs_sim``
     The live actor backend (:mod:`repro.exec.actors`) against the
     discrete simulator: identical match signatures — per-processor
@@ -93,11 +94,10 @@ from ..mpc import (DEFAULT_COSTS, TABLE_5_1, ZERO_OVERHEADS, FaultModel,
                    RunConfig, SupervisePolicy, simulate,
                    simulate_config)
 from ..mpc._reference import simulate_reference
-from ..mpc.faults import (DEFAULT_PROTOCOL, FailStop, StallWindow,
-                          simulate_cycle_with_faults)
+from ..mpc.faults import DEFAULT_PROTOCOL, FailStop, StallWindow
 from ..mpc.mapping import RoundRobinMapping
 from ..mpc.parallel import ENV_FORCE_POOL, GridPoint, run_grid
-from ..mpc.simulator import compute_search_costs
+from ..mpc.simulator import compute_search_costs, simulate_cycle
 from ..mpc.timeline import TimelineRecorder
 from ..obs import get_registry
 from ..ops5 import NaiveMatcher, parse_production
@@ -264,9 +264,10 @@ def protocol_zero_fault(case: TraceCase) -> Optional[str]:
     search = compute_search_costs(case.trace, DEFAULT_COSTS)
     plain = simulate(case.trace, n_procs, overheads=ZERO_OVERHEADS)
     for cycle, expect in zip(case.trace, plain.cycles):
-        got = simulate_cycle_with_faults(
+        got = simulate_cycle(
             cycle, n_procs, DEFAULT_COSTS, ZERO_OVERHEADS, mapping,
-            null, DEFAULT_PROTOCOL, search_costs=search)
+            search.get(cycle.index), faults=null,
+            protocol=DEFAULT_PROTOCOL)
         de, dg = dataclasses.asdict(expect), dataclasses.asdict(got)
         for name in _TIMING_FIELDS:
             if de[name] != dg[name]:

@@ -15,9 +15,12 @@ The arrival schedule is seeded (:class:`random.Random`), so a bench
 invocation is reproducible in *what it offers*; what the server
 *achieves* (throughput, latency quantiles, shed counts) is measured
 wall-clock truth.  Latency quantiles are computed exactly from the
-client-observed per-session latencies (submit → result), and the
-server's own ``served.session_latency_s`` reservoir histogram rides
-along in the payload for cross-checking.
+client-observed per-session latencies (submit → completion, stamped by
+a done-callback the moment each session finishes, so a session that
+completes while the driver is still sleeping toward a later arrival is
+not charged for that sleep), and the server's own
+``served.session_latency_s`` reservoir histogram rides along in the
+payload for cross-checking.
 
 ``repro loadtest`` drives this and writes the payload to
 ``BENCH_served.json``.
@@ -26,6 +29,7 @@ along in the payload for cross-checking.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from typing import Dict, List, Optional
 
@@ -111,28 +115,54 @@ def run_loadtest(sessions: int = 64, duration_s: float = 5.0,
     futures = []
     shed = {"overloaded": 0, "draining": 0}
     errors: Dict[str, int] = {}
+    #: completion stamp per submitted session, set by a done-callback
+    #: the moment the session finishes — not when the driver looks
+    done_at: Dict[int, float] = {}
+    settled = threading.Condition()
+
+    def stamp(i: int):
+        def on_done(_future) -> None:
+            now = time.perf_counter()
+            with settled:
+                done_at[i] = now
+                settled.notify_all()
+        return on_done
+
     start = time.perf_counter()
     try:
         for offset in offsets:
             delay = start + offset - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
+            submitted = time.perf_counter()
             try:
-                futures.append((time.perf_counter(),
-                                server.submit(trace, config)))
+                future = server.submit(trace, config)
             except SessionOverloaded as err:
                 shed[err.code] = shed.get(err.code, 0) + 1
+                continue
+            future.add_done_callback(stamp(len(futures)))
+            futures.append((submitted, future))
+        with settled:
+            settled.wait_for(lambda: len(done_at) == len(futures),
+                             timeout=exec_timeout_s(60.0))
         latencies: List[float] = []
-        deadline = exec_timeout_s(60.0)
-        for submitted, future in futures:
+        last_done = start
+        for i, (submitted, future) in enumerate(futures):
+            finished = done_at.get(i)
+            if finished is None:
+                errors["TimeoutError"] = errors.get("TimeoutError", 0) + 1
+                continue
             try:
-                future.result(timeout=deadline)
-                latencies.append(time.perf_counter() - submitted)
+                future.result(timeout=0)
             except SessionOverloaded as err:
                 shed[err.code] = shed.get(err.code, 0) + 1
+                continue
             except Exception as err:
                 name = type(err).__name__
                 errors[name] = errors.get(name, 0) + 1
+                continue
+            latencies.append(finished - submitted)
+            last_done = max(last_done, finished)
         wall_s = time.perf_counter() - start
         load = server.load
     finally:
@@ -151,7 +181,10 @@ def run_loadtest(sessions: int = 64, duration_s: float = 5.0,
         "offered_rate_per_s": sessions / duration_s,
         "wall_s": wall_s,
         "completed": completed,
-        "throughput_per_s": completed / wall_s if wall_s else 0.0,
+        # Completions per second up to the last one, not per second of
+        # driver wall time (which includes its own bookkeeping).
+        "throughput_per_s": (completed / (last_done - start)
+                             if last_done > start else 0.0),
         "shed": {"total": sum(shed.values()), **shed},
         "errors": errors,
         "latency_s": {

@@ -10,8 +10,8 @@ sweep engines, the oracles — had to thread through separately.
 names a complete machine configuration, shared by the discrete
 simulator (:func:`repro.mpc.simulator.simulate_config`) and by every
 executor backend in :mod:`repro.exec`.  ``simulate(trace, n_procs,
-**kw)`` survives as a thin shim that warns (``DeprecationWarning``)
-when the sprawl keywords are used.
+costs, overheads)`` survives as the short form; everything else is
+set here.
 
 ``RunConfig.from_args`` absorbs the CLI's flag validation (overhead
 row lookup, fault-model and protocol construction), raising
@@ -121,21 +121,22 @@ class RunConfig:
     mapping: Optional[BucketMapping] = None
     #: When given, overrides *mapping* with a fresh mapping per cycle.
     mapping_factory: Optional[MappingFactory] = None
-    #: Deterministic fault injection; ``None`` (or a null model) keeps
-    #: the exact fault-free code path.
+    #: Deterministic fault injection; ``None`` (or a null model) leaves
+    #: the event loop's reliable-delivery hook off.
     faults: Optional[FaultModel] = None
     #: Reliable-delivery parameters; ignored unless *faults* is active.
     protocol: Optional[ProtocolModel] = None
     #: Optional timeline recorder (simulator backend only).
     recorder: Optional["TimelineRecorder"] = None
-    #: Select the O(active-work) event loop and collapse runs of
-    #: fully-idle cycles analytically (bit-identical results, run-length
-    #: encoded; see :mod:`repro.mpc.simulator`).  Off by default so
-    #: existing comparisons see byte-for-byte identical result shapes.
-    #: Composes with fault injection: every fault draw is keyed to the
-    #: absolute cycle index, so draws survive collapsed idle stretches,
-    #: and idle cycles touched by a stall window or fail-stop are
-    #: simulated exactly instead of collapsed.
+    #: Run-length encode the result: a run of fully-idle cycles is
+    #: simulated once and carried with a repeat count, and per-cycle
+    #: results hold sparse per-processor arrays (bit-identical numbers;
+    #: see :mod:`repro.mpc.simulator`).  Off by default so existing
+    #: comparisons see dense, one-entry-per-cycle results.  Composes
+    #: with fault injection: every fault draw is keyed to the absolute
+    #: cycle index, so draws survive collapsed idle stretches, and idle
+    #: cycles hit by a cycle-specific stall or a fail-stop are simulated
+    #: on their own instead of collapsed.
     compress_rounds: bool = False
     #: Supervision policy for the live executor backends (heartbeats,
     #: per-cycle deadlines, checkpoint-replay restarts; see
@@ -164,7 +165,7 @@ class RunConfig:
 
     @property
     def faulty(self) -> bool:
-        """Whether the run takes the fault/protocol code path."""
+        """Whether the run switches on the reliable-delivery hook."""
         return self.faults is not None and not self.faults.is_null
 
     def replace(self, **changes) -> "RunConfig":

@@ -67,16 +67,16 @@ def simulate_dedicated_alpha(trace: SectionTrace, n_procs: int,
     result = SimResult(trace_name=trace.name,
                        n_procs=n_procs + n_const_procs)
     for cycle in trace:
-        result.cycles.append(_simulate_cycle(
+        result.cycles.append(_dedicated_cycle(
             cycle, n_procs, n_const_procs, costs, overheads, mapping,
             search_costs.get(cycle.index, {})))
     return result
 
 
-def _simulate_cycle(cycle: CycleTrace, n_procs: int, n_const: int,
-                    costs: CostModel, overheads: OverheadModel,
-                    mapping: BucketMapping,
-                    search_costs: Dict[int, float]) -> CycleResult:
+def _dedicated_cycle(cycle: CycleTrace, n_procs: int, n_const: int,
+                     costs: CostModel, overheads: OverheadModel,
+                     mapping: BucketMapping,
+                     search_costs: Dict[int, float]) -> CycleResult:
     control_busy = overheads.send_us
     const_start = (overheads.send_us + overheads.latency_us
                    + overheads.recv_us)

@@ -19,12 +19,14 @@ faults becomes a measurable axis:
   copy, a retransmit timeout with exponential backoff, and a bounded
   retry budget (the final attempt is carried by a link-level reliable
   fallback, so the simulation always terminates).
-* :func:`simulate_cycle_with_faults` — the fault-aware counterpart of
-  the optimized event loop in :mod:`repro.mpc.simulator`, charging
-  send/receive overheads for every ack and retry so degradation shows
-  up in the :class:`~repro.mpc.metrics.SimResult` counters
-  (``retransmits``, ``duplicate_drops``, ``acks``, ``timeout_wait_us``,
-  ``stall_us``, ``recovery_us``).
+* :func:`plan_delivery` — the deterministic fate of one data message.
+  The simulator's one event loop
+  (:func:`repro.mpc.simulator.simulate_cycle`) calls it through its
+  reliable-delivery hook, charging send/receive overheads for every
+  ack and retry so degradation shows up in the
+  :class:`~repro.mpc.metrics.SimResult` counters (``retransmits``,
+  ``duplicate_drops``, ``acks``, ``timeout_wait_us``, ``stall_us``,
+  ``recovery_us``).
 
 Determinism
 -----------
@@ -37,9 +39,10 @@ results, and raising ``loss_prob`` can only lose a *superset* of the
 messages lost at a lower rate (which is what makes degradation curves
 monotone).
 
-The zero-fault path is untouched: :func:`repro.mpc.simulator.simulate`
-dispatches to this module only when a non-null fault model is supplied,
-so ``FaultModel()`` (all-zero) reproduces today's simulator bit for bit.
+A null model changes nothing: :func:`repro.mpc.simulator
+.iter_cycle_results` switches the loop's reliable-delivery hook on only
+for a non-null fault model, so ``FaultModel()`` (all-zero) reproduces
+the fault-free run bit for bit (the ``fault_null_dispatch`` oracle).
 
 Model simplifications (documented, deliberate):
 
@@ -56,14 +59,8 @@ Model simplifications (documented, deliberate):
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-from ..trace.events import KIND_TERMINAL, LEFT, CycleTrace
-from .costmodel import CostModel, OverheadModel
-from .mapping import BucketMapping
-from .metrics import CycleResult
 
 _MASK64 = (1 << 64) - 1
 _INV_2_64 = 1.0 / float(1 << 64)
@@ -287,301 +284,3 @@ def plan_delivery(faults: FaultModel, protocol: ProtocolModel,
         timeout_wait_us=wait,
         jitter_us=faults.jitter(cycle, msg_id, attempt),
         duplicates=1 if faults.duplicated(cycle, msg_id) else 0)
-
-
-def simulate_cycle_with_faults(
-        cycle: CycleTrace, n_procs: int, costs: CostModel,
-        overheads: OverheadModel, mapping: BucketMapping,
-        faults: FaultModel, protocol: ProtocolModel,
-        search_costs: Optional[Dict[int, float]] = None,
-        recorder: Optional["TimelineRecorder"] = None) -> CycleResult:
-    """One cycle of the Section 3.2 mapping under *faults* + *protocol*.
-
-    Structured exactly like the optimized loop in
-    :mod:`repro.mpc.simulator`, with three insertions: delivery plans
-    (loss/retry/duplication/jitter) for every data message, ack
-    accounting on both ends, and processor stall/recovery windows.
-
-    With a :class:`~repro.mpc.timeline.TimelineRecorder` the same loop
-    also emits typed spans — including the protocol machinery (acks,
-    retransmissions, timeout waits) and stall windows — without
-    touching any timing arithmetic, so recorded results stay
-    bit-identical to unrecorded ones.
-    """
-    send_us = overheads.send_us
-    recv_us = overheads.recv_us
-    latency_us = overheads.latency_us
-    left_us = costs.left_token_us
-    right_us = costs.right_token_us
-    successor_us = costs.successor_us
-    acts = cycle.activations
-    get_extra = (search_costs or {}).get
-    cycle_index = cycle.index
-
-    record = recorder is not None
-    if record:
-        from .timeline import (CAT_ACK, CAT_BROADCAST, CAT_CONSTANT_TESTS,
-                               CAT_RECV, CAT_RETRANSMIT, CAT_SEND,
-                               CAT_STALL, CAT_SUCCESSOR, CAT_TIMEOUT_WAIT,
-                               CAT_TOKEN_ADD, CAT_TOKEN_DELETE,
-                               CAT_TRANSIT, CONTROL, NETWORK,
-                               CycleTimeline, Envelope, Span)
-        spans: List["Span"] = []
-        envelopes: List["Envelope"] = []
-        add_span = spans.append
-        add_envelope = envelopes.append
-
-        def record_sender_side(proc: int, depart_base: float,
-                               plan: DeliveryPlan, msg_id: int) -> None:
-            """Sender busy spans: one send per attempt, one ack receipt."""
-            s = depart_base
-            for attempt in range(plan.attempts):
-                add_span(Span(CAT_SEND if attempt == 0 else CAT_RETRANSMIT,
-                              proc, s, s + send_us, msg_id))
-                s += send_us
-            add_span(Span(CAT_ACK, proc, s, s + recv_us, msg_id))
-
-        def record_data_transits(depart_base: float, arrive: float,
-                                 plan: DeliveryPlan, msg_id: int) -> None:
-            """Network occupancy of every data copy, plus timeout waits."""
-            first_wire = depart_base + send_us
-            if plan.timeout_wait_us > 0:
-                add_span(Span(CAT_TIMEOUT_WAIT, NETWORK, first_wire,
-                              first_wire + plan.timeout_wait_us, msg_id))
-            for _ in range(plan.retransmits):  # the lost copies
-                add_span(Span(CAT_RETRANSMIT, NETWORK, first_wire,
-                              first_wire + latency_us, msg_id))
-            add_span(Span(CAT_TRANSIT, NETWORK,
-                          arrive - (latency_us + plan.jitter_us), arrive,
-                          msg_id))
-            for _ in range(plan.duplicates):
-                add_span(Span(CAT_TRANSIT, NETWORK, arrive - latency_us,
-                              arrive, msg_id))
-
-        def record_ack_transits(after: float, copies: int,
-                                msg_id: int) -> None:
-            for _ in range(copies):
-                add_span(Span(CAT_ACK, NETWORK, after, after + latency_us,
-                              msg_id))
-
-    # Fault-model state for this cycle.
-    windows = faults.windows_for_cycle(cycle_index, n_procs)
-    recovery_us = faults.recovery_in_cycle(cycle_index, n_procs)
-    retransmits = 0
-    duplicate_drops = 0
-    acks = 0
-    timeout_wait_us = 0.0
-    stall_us = 0.0
-
-    def past_stalls(p: int, t: float) -> float:
-        """Earliest time >= *t* at which processor *p* may start work."""
-        intervals = windows.get(p)
-        if not intervals:
-            return t
-        for start, end in intervals:
-            if start <= t < end:
-                t = end
-        return t
-
-    # Resolve every activation's destination processor once (as in the
-    # fault-free loop).
-    processor_for = mapping.processor_for
-    key_proc: Dict = {}
-    dest_of: Dict[int, int] = {}
-    for act in cycle.ordered():
-        key = act.key
-        proc = key_proc.get(key)
-        if proc is None:
-            proc = key_proc[key] = processor_for(key)
-        dest_of[act.act_id] = proc
-
-    # --- step 1: broadcast (reliable, as documented) -----------------------
-    control_busy = send_us
-    match_start = send_us + latency_us + recv_us
-    network_busy = latency_us if n_procs > 0 else 0.0
-    n_messages = 1  # the broadcast packet
-    if record:
-        add_span(Span(CAT_BROADCAST, CONTROL, 0.0, send_us))
-        if n_procs > 0:
-            add_span(Span(CAT_TRANSIT, NETWORK, send_us,
-                          send_us + latency_us))
-
-    # --- step 2: constant tests, start pushed past stall windows -----------
-    ready = []
-    for p in range(n_procs):
-        start = past_stalls(p, match_start)
-        stall_us += start - match_start
-        if record:
-            add_span(Span(CAT_RECV, p, send_us + latency_us, match_start))
-            if start > match_start:
-                add_span(Span(CAT_STALL, p, match_start, start))
-            add_span(Span(CAT_CONSTANT_TESTS, p, start,
-                          start + costs.constant_tests_us))
-        ready.append(start + costs.constant_tests_us)
-    busy = [recv_us + costs.constant_tests_us] * n_procs
-    activations = [0] * n_procs
-    left_activations = [0] * n_procs
-
-    seq = 0
-    queue: list = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    control_arrivals: List[float] = []
-    control_ready = control_busy  # control is busy until broadcast sent
-
-    def send_to_control(depart_base: float, msg_id: int,
-                        sender: int) -> float:
-        """Reliable-protocol instantiation send; returns the sender's
-        time after all send-side protocol costs."""
-        nonlocal control_busy, control_ready, network_busy, n_messages
-        nonlocal retransmits, duplicate_drops, acks, timeout_wait_us
-        plan = plan_delivery(faults, protocol, cycle_index, msg_id)
-        copies = plan.attempts + plan.duplicates
-        retransmits += plan.retransmits
-        duplicate_drops += plan.duplicates
-        timeout_wait_us += plan.timeout_wait_us
-        acks += 1 + plan.duplicates
-        # Data copies + one ack per received copy cross the network.
-        n_messages += copies + 1 + plan.duplicates
-        network_busy += latency_us * (copies + 1 + plan.duplicates) \
-            + plan.jitter_us
-        # Sender: one send overhead per attempt, one ack receipt.
-        t = depart_base + send_us * plan.attempts + recv_us
-        arrive = depart_base + send_us + plan.timeout_wait_us \
-            + latency_us + plan.jitter_us
-        # Control: FIFO receipt of every copy, one ack send per copy.
-        per_copy = recv_us + send_us
-        begin = max(control_ready, arrive)
-        control_ready = begin + per_copy * (1 + plan.duplicates)
-        control_busy += per_copy * (1 + plan.duplicates)
-        control_arrivals.append(control_ready)
-        if record:
-            record_sender_side(sender, depart_base, plan, msg_id)
-            record_data_transits(depart_base, arrive, plan, msg_id)
-            b = begin
-            for _ in range(1 + plan.duplicates):
-                add_span(Span(CAT_RECV, CONTROL, b, b + recv_us, msg_id))
-                add_span(Span(CAT_ACK, CONTROL, b + recv_us,
-                              b + recv_us + send_us, msg_id))
-                b += per_copy
-            record_ack_transits(b, 1 + plan.duplicates, msg_id)
-        return t
-
-    for root in cycle.roots():
-        owner = dest_of[root.act_id]
-        if root.kind == KIND_TERMINAL:
-            start = past_stalls(owner, ready[owner])
-            stall_us += start - ready[owner]
-            if record and start > ready[owner]:
-                add_span(Span(CAT_STALL, owner, ready[owner], start))
-            t = send_to_control(start, root.act_id, owner)
-            if record:
-                add_envelope(Envelope(root.act_id, None, owner, start,
-                                      t, False))
-            busy[owner] += t - start
-            ready[owner] = t
-            continue
-        seq += 1
-        heappush(queue, (ready[owner], seq, owner, False, root))
-
-    # --- steps 3-4: event loop ---------------------------------------------
-    while queue:
-        arrival, _, p, via_message, act = heappop(queue)
-        proc_ready = ready[p]
-        start = proc_ready if proc_ready > arrival else arrival
-        stalled = past_stalls(p, start)
-        stall_us += stalled - start
-        if record and stalled > start:
-            add_span(Span(CAT_STALL, p, start, stalled))
-        start = stalled
-        t = start
-        env_wait_comm = 0.0
-        env_wait_protocol = 0.0
-        if via_message:
-            # Receive the data copy, ack it; drop + ack any duplicate.
-            plan = plan_delivery(faults, protocol, cycle_index, act.act_id)
-            t += (recv_us + send_us) * (1 + plan.duplicates)
-            if record:
-                env_wait_comm = send_us + latency_us + plan.jitter_us
-                env_wait_protocol = plan.timeout_wait_us
-                b = start
-                for _ in range(1 + plan.duplicates):
-                    add_span(Span(CAT_RECV, p, b, b + recv_us,
-                                  act.act_id))
-                    add_span(Span(CAT_ACK, p, b + recv_us,
-                                  b + recv_us + send_us, act.act_id))
-                    b += recv_us + send_us
-                record_ack_transits(b, 1 + plan.duplicates, act.act_id)
-        token_start = t
-        t += left_us if act.side == LEFT else right_us
-        extra = get_extra(act.act_id)
-        if extra is not None:
-            t += extra
-        if record:
-            add_span(Span(CAT_TOKEN_ADD if act.tag == "+" else
-                          CAT_TOKEN_DELETE, p, token_start, t,
-                          act.act_id))
-        activations[p] += 1
-        if act.side == LEFT:
-            left_activations[p] += 1
-
-        for succ_id in act.successors:
-            succ = acts[succ_id]
-            gen_start = t
-            t += successor_us
-            if record:
-                add_span(Span(CAT_SUCCESSOR, p, gen_start, t, succ_id))
-            if succ.kind == KIND_TERMINAL:
-                t = send_to_control(t, succ_id, p)
-                continue
-            dest = dest_of[succ_id]
-            seq += 1
-            if dest == p:
-                heappush(queue, (t, seq, p, False, succ))
-            else:
-                plan = plan_delivery(faults, protocol, cycle_index,
-                                     succ_id)
-                copies = plan.attempts + plan.duplicates
-                retransmits += plan.retransmits
-                duplicate_drops += plan.duplicates
-                timeout_wait_us += plan.timeout_wait_us
-                acks += 1 + plan.duplicates
-                n_messages += copies + 1 + plan.duplicates
-                network_busy += latency_us * (copies + 1 + plan.duplicates) \
-                    + plan.jitter_us
-                arrive = t + send_us + plan.timeout_wait_us \
-                    + latency_us + plan.jitter_us
-                if record:
-                    record_sender_side(p, t, plan, succ_id)
-                    record_data_transits(t, arrive, plan, succ_id)
-                # Sender: send per attempt, then the ack receipt.
-                t += send_us * plan.attempts + recv_us
-                heappush(queue, (arrive, seq, dest, True, succ))
-
-        if record:
-            add_envelope(Envelope(act.act_id, act.parent_id, p, start, t,
-                                  via_message,
-                                  wait_comm_us=env_wait_comm,
-                                  wait_protocol_us=env_wait_protocol))
-        busy[p] += t - start
-        ready[p] = t
-
-    makespan = max([match_start + costs.constant_tests_us]
-                   + ready + control_arrivals)
-    if record:
-        recorder.add_cycle(CycleTimeline(
-            index=cycle_index, n_procs=n_procs, makespan_us=makespan,
-            proc_busy_us=list(busy), spans=spans, envelopes=envelopes))
-    return CycleResult(index=cycle_index, makespan_us=makespan,
-                       proc_busy_us=busy,
-                       proc_activations=activations,
-                       proc_left_activations=left_activations,
-                       n_messages=n_messages,
-                       network_busy_us=network_busy,
-                       control_busy_us=control_busy,
-                       retransmits=retransmits,
-                       duplicate_drops=duplicate_drops,
-                       acks=acks,
-                       timeout_wait_us=timeout_wait_us,
-                       stall_us=stall_us,
-                       recovery_us=recovery_us)

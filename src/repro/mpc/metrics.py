@@ -8,10 +8,10 @@ Two representation tricks keep results memory-bounded at thousands of
 processors and millions of cycles (ROADMAP item 3):
 
 * :class:`SparseProcArray` — a per-processor array stored as (length,
-  default, overrides).  The active-set event loop touches only the
-  processors that did any cycle-specific work, so a 4096-processor
-  cycle result costs O(touched) memory instead of O(P).  It compares
-  equal to the plain list the dense loop produces.
+  default, overrides).  With round compression the event loop stores
+  only the processors a cycle touched, so a 4096-processor cycle
+  result costs O(touched) memory instead of O(P).  It compares equal
+  to the plain list an uncompressed run produces.
 * Run-length encoding on :class:`SimResult` — with round compression a
   stretch of *k* identical fully-idle cycles is stored once with a
   repeat count in :attr:`SimResult.repeats`.  All aggregates account

@@ -56,7 +56,7 @@ def simulate_pairs(trace: SectionTrace,
     result = SimResult(trace_name=trace.name, n_procs=2 * n_pairs)
     for cycle in trace:
         result.cycles.append(
-            _simulate_cycle(cycle, n_pairs, costs, overheads, mapping))
+            _pair_cycle(cycle, n_pairs, costs, overheads, mapping))
     return result
 
 
@@ -72,9 +72,9 @@ class _Arrival:
         return (self.time, self.seq) < (other.time, other.seq)
 
 
-def _simulate_cycle(cycle: CycleTrace, n_pairs: int, costs: CostModel,
-                    overheads: OverheadModel,
-                    mapping: BucketMapping) -> CycleResult:
+def _pair_cycle(cycle: CycleTrace, n_pairs: int, costs: CostModel,
+                overheads: OverheadModel,
+                mapping: BucketMapping) -> CycleResult:
     # Broadcast to the left processors (the pair's communication port);
     # each left processor relays the packet to its right sibling so both
     # can run the constant tests.

@@ -53,13 +53,13 @@ from typing import Callable, List, Optional, Sequence
 
 from ..obs import get_registry, log_event
 from ..trace.events import SectionTrace
-from .config import RunConfig
+from .config import MappingFactory, RunConfig
 from .costmodel import (DEFAULT_COSTS, TABLE_5_1, ZERO_OVERHEADS, CostModel,
                         OverheadModel)
 from .faults import FaultModel, ProtocolModel
 from .mapping import BucketMapping
 from .metrics import SimResult, speedup
-from .simulator import MappingFactory, simulate_config
+from .simulator import simulate_config
 from .sweep import (DEFAULT_PROC_COUNTS, SpeedupCurve, _serial_overhead_sweep,
                     _serial_speedup_curve)
 

@@ -87,15 +87,14 @@ def simulate_shared_bus(trace: SectionTrace, n_procs: int,
     result = SimResult(trace_name=trace.name, n_procs=n_procs)
     for cycle in trace:
         result.cycles.append(
-            _simulate_cycle(cycle, n_procs, costs, queue_access_us,
-                            n_queues,
-                            search_costs.get(cycle.index, {})))
+            _bus_cycle(cycle, n_procs, costs, queue_access_us, n_queues,
+                       search_costs.get(cycle.index, {})))
     return result
 
 
-def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
-                    queue_access_us: float, n_queues: int,
-                    search_costs: Dict[int, float]) -> CycleResult:
+def _bus_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
+               queue_access_us: float, n_queues: int,
+               search_costs: Dict[int, float]) -> CycleResult:
     start = costs.constant_tests_us
     ready = [start] * n_procs
     busy = [float(costs.constant_tests_us)] * n_procs

@@ -24,37 +24,33 @@ paper's match procedure:
 Everything is deterministic: the event queue breaks ties on a sequence
 counter and processors serve tasks FIFO by arrival time.
 
-The inner event loop is the harness's hottest code — every sweep point
-of every figure goes through it — so it is written for speed: heap
-entries are plain ``(arrival, seq, proc, via_message, activation)``
-tuples (the unique ``seq`` guarantees comparison never reaches the
-activation), each activation's destination processor is resolved exactly
-once per cycle, and per-event attribute/method lookups are hoisted into
-locals.  :mod:`repro.mpc._reference` preserves the original
-object-based loop; ``tests/test_mpc_parallel.py`` asserts both produce
-bit-identical results.
+One event loop
+--------------
+:func:`simulate_cycle` is the only production loop, and every sweep
+point of every figure goes through it, so it is written for speed:
+heap entries are plain ``(arrival, seq, slot, via_message,
+activation)`` tuples (the unique ``seq`` guarantees comparison never
+reaches the activation), each bucket key's owner is resolved once per
+cycle, and per-event lookups are hoisted into locals.  The processors
+a cycle touches are renumbered into compact slots, so a cycle costs
+O(active work) plus, for dense results only, the O(P) result lists.
+Two optional hooks extend it without a second copy of the arithmetic:
+reliable delivery under a :class:`~repro.mpc.faults.FaultModel`
+(acks, retransmits, stall windows, fail-stops) and span recording
+into a :class:`~repro.mpc.timeline.TimelineRecorder`.
+:mod:`repro.mpc._reference` preserves the original object-based loop,
+and the ``repro check`` oracles hold the two bit-identical.
 
-Scaling to thousands of processors (ROADMAP item 3)
----------------------------------------------------
-The dense loop above still charges O(P) per cycle — list allocations,
-the final ``max`` — which dominates exactly in the regime the paper
-says matters (mostly-idle machines).  ``RunConfig(compress_rounds=
-True)`` switches to two complementary optimizations, both **bit-exact**
-(the ``compressed_vs_exact`` oracle in :mod:`repro.check` holds them to
-the reference loop):
-
-* an **active-set event loop** (:func:`_simulate_cycle_active`): per
-  cycle only processors that did cycle-specific work get entries in
-  the ready/busy dictionaries; everyone else sits at the closed-form
-  broadcast + constant-test floor, represented once by a
-  :class:`~repro.mpc.metrics.SparseProcArray` default.  Every
-  floating-point operation that *does* happen uses the same operands
-  in the same order as the dense loop, so results are bit-identical.
-* **round compression**: a run of consecutive fully-idle cycles is
-  collapsed analytically into one closed-form :class:`CycleResult`
-  (:func:`_idle_cycle_result`) carried with a repeat count — the
-  counters are advanced exactly, in the spirit of the round-compression
-  literature, not approximated.
+Round compression
+-----------------
+``RunConfig(compress_rounds=True)`` run-length encodes idle stretches:
+a run of consecutive fully-idle cycles is simulated once, as an empty
+:class:`~repro.trace.events.CycleTrace`, and carried with a repeat
+count — in the spirit of the round-compression literature, exact
+rather than approximated, since the template *is* the loop's own
+result.  Per-cycle results then hold
+:class:`~repro.mpc.metrics.SparseProcArray` views, so a 4096-processor
+cycle costs memory for the processors it touched only.
 
 :func:`iter_cycle_results` is the memory-bounded core both modes share:
 it yields ``(CycleResult, repeat)`` pairs one at a time and accepts
@@ -67,27 +63,34 @@ materialized.
 from __future__ import annotations
 
 import heapq
-import warnings
 from collections import defaultdict
-from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..rete.hashing import BucketKey
 from ..trace.events import (KIND_TERMINAL, LEFT, CycleTrace, IdleRun,
                             SectionTrace, iter_cycles)
-from .config import MappingFactory, RunConfig
+from .config import RunConfig
 from .costmodel import DEFAULT_COSTS, ZERO_OVERHEADS, CostModel, \
     OverheadModel
+from .faults import (DEFAULT_PROTOCOL, DeliveryPlan, FaultModel,
+                     ProtocolModel, plan_delivery)
 from .mapping import BucketMapping, RoundRobinMapping, greedy_mapping
 from .metrics import CycleResult, SimResult, SparseProcArray
+from .timeline import (CAT_ACK, CAT_BROADCAST, CAT_CONSTANT_TESTS, CAT_RECV,
+                       CAT_RETRANSMIT, CAT_SEND, CAT_STALL, CAT_SUCCESSOR,
+                       CAT_TIMEOUT_WAIT, CAT_TOKEN_ADD, CAT_TOKEN_DELETE,
+                       CAT_TRANSIT, CONTROL, NETWORK, CycleTimeline,
+                       Envelope, Span, TimelineRecorder)
 
 #: Test-only mis-pricing hook for the conformance harness
-#: (:mod:`repro.check`).  When nonzero, the optimized event loops —
-#: dense and active-set; the reference loop, the fault/protocol loop
-#: and the recorded mirror all ignore it — charge right tokens this
-#: many extra microseconds.  The harness's mutation smoke test sets it
-#: (via :func:`repro.check.mutate_cost`) to prove the oracle matrix
-#: catches a mis-priced cost constant.  Never set it outside tests.
+#: (:mod:`repro.check`).  When nonzero, :func:`simulate_cycle` charges
+#: right tokens this many extra microseconds in every mode; only the
+#: frozen reference loop ignores it, so the oracles that compare
+#: against :mod:`repro.mpc._reference` (``opt_vs_reference``,
+#: ``compressed_vs_exact``) must catch it.  The harness's mutation
+#: smoke test sets it (via :func:`repro.check.mutated_right_token_cost`)
+#: to prove the oracle matrix catches a mis-priced cost constant.
+#: Never set it outside tests.
 _TEST_MUTATE_RIGHT_TOKEN_US = 0.0
 
 
@@ -145,9 +148,9 @@ class BucketWorkCache:
 class GreedyMappingFactory:
     """Per-cycle idealized greedy (LPT) distribution, ready to share.
 
-    A picklable :data:`MappingFactory`: pass
-    ``mapping_factory=GreedyMappingFactory(n_procs)`` to
-    :func:`simulate`, or build one per processor count around a shared
+    A picklable :data:`~repro.mpc.config.MappingFactory`: pass
+    ``RunConfig(mapping_factory=GreedyMappingFactory(n_procs))`` to
+    :func:`simulate_config`, or build one per processor count around a shared
     :class:`BucketWorkCache` so a whole sweep prices each cycle's bucket
     activity once.
     """
@@ -229,11 +232,12 @@ def iter_cycle_results(trace, config: RunConfig
     source — a :class:`~repro.trace.events.SectionTrace` or a
     streaming source yielding :class:`~repro.trace.events.CycleTrace`
     / :class:`~repro.trace.events.IdleRun` entries — and never holds
-    more than one cycle's result.  ``repeat`` is 1 everywhere except
-    with ``config.compress_rounds``, where a maximal run of
-    consecutive fully-idle cycles is emitted as one closed-form result
-    with ``repeat`` equal to the run length.  Sweeps that only need
-    aggregates consume this directly and discard each pair;
+    more than one cycle's result.  Every cycle goes through
+    :func:`simulate_cycle`.  ``repeat`` is 1 everywhere except with
+    ``config.compress_rounds``, where a maximal run of consecutive
+    fully-idle cycles is simulated once, as an empty cycle, and
+    emitted with ``repeat`` equal to the run length.  Sweeps that only
+    need aggregates consume this directly and discard each pair;
     :func:`simulate_config` collects the pairs into a
     :class:`~repro.mpc.metrics.SimResult`.
     """
@@ -242,93 +246,54 @@ def iter_cycle_results(trace, config: RunConfig
     overheads = config.overheads
     mapping = config.mapping
     mapping_factory = config.mapping_factory
-    faults = config.faults
-    protocol = config.protocol
+    faults = config.faults if config.faulty else None
+    protocol = config.protocol or DEFAULT_PROTOCOL
     recorder = config.recorder
     compress = config.compress_rounds
     if mapping is None:
         mapping = RoundRobinMapping(n_procs)
-
-    faulty = config.faulty
-    simulate_cycle_with_faults = None
-    record_idle_stretch = None
-    if faulty:
-        from .faults import DEFAULT_PROTOCOL, simulate_cycle_with_faults
-        if protocol is None:
-            protocol = DEFAULT_PROTOCOL
     if recorder is not None:
-        from .timeline import _record_idle_stretch as record_idle_stretch
-        from .timeline import _simulate_cycle_recorded
         recorder.begin_section(trace.name, n_procs, costs, overheads,
-                               faulty)
+                               faults is not None)
 
     # Round compression under fault injection: every fault draw is
-    # already keyed to the *absolute* cycle index (see
+    # keyed to the *absolute* cycle index (see
     # :func:`repro.mpc.faults.counter_u01` callers), so collapsing an
-    # idle stretch never shifts which cycles later faults land on.  The
-    # two fault-model features that can touch a fully-idle cycle are
-    # handled explicitly: every-cycle stall windows (``cycle=None``)
-    # fold into the closed-form idle template
-    # (:func:`_idle_cycle_result_faulty`), and cycle-specific stalls /
-    # fail-stops break the stretch so those indices are simulated
-    # exactly.  With a recorder attached, idle cycles under faults are
-    # simulated per-cycle too (exact spans beat collapsed ones).
+    # idle stretch never shifts which cycles later faults land on.  An
+    # idle cycle carries no data message, so only stall windows can
+    # touch it: every-cycle windows (``cycle=None``) hit each cycle of
+    # a stretch alike, while cycle-specific stalls and fail-stops
+    # break the stretch so those indices are simulated on their own.
     fault_breaks: frozenset = frozenset()
-    collapse_idle = True
-    if compress and faulty:
-        collapse_idle = recorder is None
+    if compress and faults is not None:
         fault_breaks = frozenset(
             s.cycle for s in faults.stalls if s.cycle is not None
         ) | frozenset(f.cycle for f in faults.failures)
 
     tracker = _SearchCostTracker(costs.delete_search_us)
-    idle_template: Optional[CycleResult] = None
     pending_start = 0
     pending_count = 0
 
+    def step(cycle: CycleTrace, repeat: int = 1
+             ) -> Tuple[CycleResult, int]:
+        """One cycle (or one idle stretch of *repeat* cycles)."""
+        cycle_mapping = mapping
+        if mapping_factory is not None and cycle.activations:
+            cycle_mapping = mapping_factory(cycle)
+            if cycle_mapping.n_procs != n_procs:
+                raise ValueError("mapping_factory produced a mapping for "
+                                 f"{cycle_mapping.n_procs} processors")
+        return simulate_cycle(
+            cycle, n_procs, costs, overheads, cycle_mapping,
+            tracker.charge(cycle), faults=faults, protocol=protocol,
+            recorder=recorder, sparse=compress, repeat=repeat), repeat
+
     def flush() -> Iterator[Tuple[CycleResult, int]]:
         """Emit the pending idle stretch (if any) as one RLE pair."""
-        nonlocal pending_count, idle_template
-        if not pending_count:
-            return
-        start, count = pending_start, pending_count
-        pending_count = 0
-        if idle_template is None:
-            idle_template = (
-                _idle_cycle_result_faulty(n_procs, costs, overheads,
-                                          faults)
-                if faulty else
-                _idle_cycle_result(n_procs, costs, overheads))
-        if recorder is not None:
-            record_idle_stretch(recorder, start, count, n_procs, costs,
-                                overheads)
-        yield (replace(idle_template, index=start), count)
-
-    def one_cycle(cycle) -> Iterator[Tuple[CycleResult, int]]:
-        """Simulate one cycle on whichever loop the config selects."""
-        cycle_mapping = (mapping_factory(cycle) if mapping_factory
-                         else mapping)
-        if cycle_mapping.n_procs != n_procs:
-            raise ValueError("mapping_factory produced a mapping for "
-                             f"{cycle_mapping.n_procs} processors")
-        search_costs = tracker.charge(cycle)
-        if faulty:
-            cycle_result = simulate_cycle_with_faults(
-                cycle, n_procs, costs, overheads, cycle_mapping,
-                faults, protocol, search_costs, recorder=recorder)
-        elif recorder is not None:
-            cycle_result = _simulate_cycle_recorded(
-                cycle, n_procs, costs, overheads, cycle_mapping,
-                search_costs, recorder)
-        elif compress:
-            cycle_result = _simulate_cycle_active(
-                cycle, n_procs, costs, overheads, cycle_mapping,
-                search_costs)
-        else:
-            cycle_result = _simulate_cycle(
-                cycle, n_procs, costs, overheads, cycle_mapping,
-                search_costs)
-        yield (cycle_result, 1)
+        nonlocal pending_count
+        if pending_count:
+            count, pending_count = pending_count, 0
+            yield step(CycleTrace(index=pending_start), count)
 
     for entry in trace:
         is_idle_run = isinstance(entry, IdleRun)
@@ -342,7 +307,7 @@ def iter_cycle_results(trace, config: RunConfig
                 idle_start, idle_count = entry.index, 1
             else:
                 idle_start = None
-            if idle_start is not None and collapse_idle:
+            if idle_start is not None:
                 end = idle_start + idle_count
                 # Stretch boundaries at fault-affected indices (the
                 # break set is tiny — explicit stalls and fail-stops —
@@ -361,12 +326,12 @@ def iter_cycle_results(trace, config: RunConfig
                             pending_start, pending_count = pos, b - pos
                     if b < end:
                         yield from flush()
-                        yield from one_cycle(CycleTrace(index=b))
+                        yield step(CycleTrace(index=b))
                     pos = b + 1
                 continue
             yield from flush()
         for cycle in entry.cycles() if is_idle_run else (entry,):
-            yield from one_cycle(cycle)
+            yield step(cycle)
     yield from flush()
 
 
@@ -374,8 +339,8 @@ def simulate_config(trace, config: RunConfig) -> SimResult:
     """Simulate *trace* under one :class:`~repro.mpc.config.RunConfig`.
 
     This is the engine entry point every executor backend and sweep
-    shares; :func:`simulate` is a thin compatibility wrapper around it,
-    and :func:`iter_cycle_results` is the streaming core it collects.
+    shares; :func:`simulate` is its short-form spelling, and
+    :func:`iter_cycle_results` is the streaming core it collects.
 
     Parameters
     ----------
@@ -387,16 +352,16 @@ def simulate_config(trace, config: RunConfig) -> SimResult:
         The full machine configuration.  ``config.mapping`` defaults to
         the paper's round robin; ``config.mapping_factory`` overrides
         it with a fresh mapping per cycle (the paper's idealized greedy
-        redistribution).  A ``None`` or null ``config.faults`` keeps
-        the exact fault-free code path — results are bit-identical to a
-        fault-free config; ``config.protocol`` defaults to
-        :data:`~repro.mpc.faults.DEFAULT_PROTOCOL` when faults are
-        active and is ignored otherwise.  ``config.recorder`` routes
-        every cycle through the span-recording mirror of the event loop
-        (:mod:`repro.mpc.timeline`) without changing any result bit.
-        ``config.compress_rounds`` selects the active-set event loop
-        and run-length encodes idle stretches — bit-identical numbers
-        in O(active work) time; see the module docstring.
+        redistribution).  A ``None`` or null ``config.faults`` runs the
+        loop without its reliable-delivery hook, so results are
+        bit-identical to a fault-free config; ``config.protocol``
+        defaults to :data:`~repro.mpc.faults.DEFAULT_PROTOCOL` when
+        faults are active and is ignored otherwise.
+        ``config.recorder`` collects every cycle's spans without
+        changing any result bit.  ``config.compress_rounds`` returns
+        sparse per-processor arrays and run-length encodes idle
+        stretches — bit-identical numbers in O(active work) time; see
+        the module docstring.
 
     Returns
     -------
@@ -417,42 +382,62 @@ def simulate_config(trace, config: RunConfig) -> SimResult:
 def simulate(trace: SectionTrace,
              n_procs: int,
              costs: CostModel = DEFAULT_COSTS,
-             overheads: OverheadModel = ZERO_OVERHEADS,
-             mapping: Optional[BucketMapping] = None,
-             mapping_factory: Optional[MappingFactory] = None,
-             faults: Optional["FaultModel"] = None,
-             protocol: Optional["ProtocolModel"] = None,
-             recorder: Optional["TimelineRecorder"] = None) -> SimResult:
+             overheads: OverheadModel = ZERO_OVERHEADS) -> SimResult:
     """Simulate *trace* on *n_procs* match processors.
 
-    Compatibility wrapper over :func:`simulate_config`.  The short form
-    — ``simulate(trace, n_procs, costs=..., overheads=...)`` — remains
-    the supported convenience spelling.  The remaining keywords
-    (*mapping*, *mapping_factory*, *faults*, *protocol*, *recorder*)
-    are **deprecated** here: build a
-    :class:`~repro.mpc.config.RunConfig` and call
-    :func:`simulate_config` instead.  Passing any of them emits a
-    ``DeprecationWarning`` (results are unchanged).
+    The short form of :func:`simulate_config`; build a
+    :class:`~repro.mpc.config.RunConfig` for mappings, fault
+    injection, recording or round compression.
     """
-    if (mapping is not None or mapping_factory is not None
-            or faults is not None or protocol is not None
-            or recorder is not None):
-        warnings.warn(
-            "passing mapping/mapping_factory/faults/protocol/recorder "
-            "to simulate() is deprecated; build a RunConfig and call "
-            "simulate_config(trace, config)",
-            DeprecationWarning, stacklevel=2)
     return simulate_config(trace, RunConfig(
-        n_procs=n_procs, costs=costs, overheads=overheads,
-        mapping=mapping, mapping_factory=mapping_factory,
-        faults=faults, protocol=protocol, recorder=recorder))
+        n_procs=n_procs, costs=costs, overheads=overheads))
 
 
-def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
-                    overheads: OverheadModel,
-                    mapping: BucketMapping,
-                    search_costs: Optional[Dict[int, float]] = None
-                    ) -> CycleResult:
+def _past_windows(intervals: List[Tuple[float, float]], t: float) -> float:
+    """Earliest time >= *t* outside the sorted stall *intervals*: work
+    that would start inside a window waits for its end (stalls are
+    non-preemptive)."""
+    for start, end in intervals:
+        if start <= t < end:
+            t = end
+    return t
+
+
+def simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
+                   overheads: OverheadModel, mapping: BucketMapping,
+                   search_costs: Optional[Dict[int, float]] = None, *,
+                   faults: Optional[FaultModel] = None,
+                   protocol: ProtocolModel = DEFAULT_PROTOCOL,
+                   recorder: Optional[TimelineRecorder] = None,
+                   sparse: bool = False, repeat: int = 1) -> CycleResult:
+    """Simulate one cycle of the Section 3.2 protocol.
+
+    This is the simulator's only event loop.  Every mode of
+    :func:`iter_cycle_results` is a combination of two optional hooks:
+
+    * *faults* switches on reliable delivery (:mod:`repro.mpc.faults`).
+      Every data message gets a :func:`~repro.mpc.faults.plan_delivery`
+      plan (loss, retransmits, duplicates, jitter) and is acknowledged
+      under *protocol*, and processors honor the cycle's stall windows
+      and fail-stops.  A null model still prices the acks;
+      :func:`iter_cycle_results` passes ``None`` for one.
+    * *recorder* receives the cycle's typed spans and envelopes as one
+      :class:`~repro.mpc.timeline.CycleTimeline` entry standing for
+      *repeat* identical cycles.  Recording only appends spans; it
+      never touches the timing arithmetic.
+
+    The float-addition order is fixed per mode: without faults the
+    inter-processor token messages are tallied after the event loop,
+    with faults every message is counted where it is sent.
+
+    Per-processor state lives in compact slots: the processors the
+    cycle touches (the bucket owners of its activations, plus stalled
+    processors) are renumbered ``0..k-1`` so the hot loop indexes plain
+    lists, while every other processor sits at the post-broadcast floor.
+    The result's per-processor arrays are dense lists, or with *sparse*
+    :class:`~repro.mpc.metrics.SparseProcArray` views over the touched
+    slots, so a cycle costs O(active work) rather than O(P).
+    """
     send_us = overheads.send_us
     recv_us = overheads.recv_us
     latency_us = overheads.latency_us
@@ -461,34 +446,170 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     successor_us = costs.successor_us
     acts = cycle.activations
     get_extra = (search_costs or {}).get
+    index = cycle.index
+    reliable = faults is not None
+    record = recorder is not None
 
-    # Resolve every activation's destination processor once.  Both the
-    # event loop and the message tally need it, and distinct bucket keys
-    # are far fewer than activations, so the hash work is shared here.
+    # Resolve every bucket key's owner once and give each owner a slot.
     processor_for = mapping.processor_for
-    key_proc: Dict[BucketKey, int] = {}
-    dest_of: Dict[int, int] = {}
+    procs: List[int] = []  # slot -> processor
+    slot_of: Dict[int, int] = {}  # processor -> slot
+    key_slot: Dict[BucketKey, int] = {}
+    dest_of: Dict[int, int] = {}  # act_id -> slot
     for act in cycle.ordered():
         key = act.key
-        proc = key_proc.get(key)
-        if proc is None:
-            proc = key_proc[key] = processor_for(key)
-        dest_of[act.act_id] = proc
+        slot = key_slot.get(key)
+        if slot is None:
+            proc = processor_for(key)
+            slot = slot_of.get(proc)
+            if slot is None:
+                slot = slot_of[proc] = len(procs)
+                procs.append(proc)
+            key_slot[key] = slot
+        dest_of[act.act_id] = slot
 
-    # --- step 1: broadcast -------------------------------------------------
+    # --- step 1: broadcast (reliable in every mode) ------------------------
     control_busy = send_us
     match_start = send_us + latency_us + recv_us
     network_busy = latency_us if n_procs > 0 else 0.0
     n_messages = 1  # the broadcast packet
 
-    # --- step 2: constant tests on every processor -------------------------
-    ready = [match_start + costs.constant_tests_us] * n_procs
-    busy = [recv_us + costs.constant_tests_us] * n_procs
-    activations = [0] * n_procs
-    left_activations = [0] * n_procs
+    # --- step 2: constant tests; untouched processors stay at the floor ---
+    floor_ready = match_start + costs.constant_tests_us
+    floor_busy = recv_us + costs.constant_tests_us
+    ready = [floor_ready] * len(procs)
+    busy = [floor_busy] * len(procs)
+    activations = [0] * len(procs)
+    left_activations = [0] * len(procs)
+
+    retransmits = duplicate_drops = acks = token_messages = 0
+    timeout_wait_us = stall_us = recovery_us = 0.0
+    #: slot -> sorted stall intervals (fault hook only)
+    windows: Dict[int, List[Tuple[float, float]]] = {}
+    #: processor -> constant-test start, for processors with a window
+    tests_start: Dict[int, float] = {}
+    if reliable:
+        recovery_us = faults.recovery_in_cycle(index, n_procs)
+        by_proc = faults.windows_for_cycle(index, n_procs)
+        for proc in sorted(by_proc):  # ascending: float-sum order
+            slot = slot_of.get(proc)
+            if slot is None:
+                slot = slot_of[proc] = len(procs)
+                procs.append(proc)
+                ready.append(floor_ready)
+                busy.append(floor_busy)
+                activations.append(0)
+                left_activations.append(0)
+            windows[slot] = by_proc[proc]
+            start = _past_windows(by_proc[proc], match_start)
+            stall_us += start - match_start
+            tests_start[proc] = start
+            ready[slot] = start + costs.constant_tests_us
+
+    if record:
+        spans: List[Span] = []
+        envelopes: List[Envelope] = []
+        add_span = spans.append
+        add_envelope = envelopes.append
+        add_span(Span(CAT_BROADCAST, CONTROL, 0.0, send_us))
+        if n_procs > 0:
+            add_span(Span(CAT_TRANSIT, NETWORK, send_us,
+                          send_us + latency_us))
+        for p in range(n_procs):
+            start = tests_start.get(p, match_start)
+            add_span(Span(CAT_RECV, p, send_us + latency_us, match_start))
+            if start > match_start:
+                add_span(Span(CAT_STALL, p, match_start, start))
+            add_span(Span(CAT_CONSTANT_TESTS, p, start,
+                          start + costs.constant_tests_us))
+
+        def record_sender_side(proc: int, depart_base: float,
+                               plan: DeliveryPlan, msg_id: int) -> None:
+            """Sender busy spans: one send per attempt, one ack receipt."""
+            s = depart_base
+            for attempt in range(plan.attempts):
+                add_span(Span(CAT_SEND if attempt == 0 else CAT_RETRANSMIT,
+                              proc, s, s + send_us, msg_id))
+                s += send_us
+            add_span(Span(CAT_ACK, proc, s, s + recv_us, msg_id))
+
+        def record_data_transits(depart_base: float, arrive: float,
+                                 plan: DeliveryPlan, msg_id: int) -> None:
+            """Network occupancy of every data copy, plus timeout waits."""
+            first_wire = depart_base + send_us
+            if plan.timeout_wait_us > 0:
+                add_span(Span(CAT_TIMEOUT_WAIT, NETWORK, first_wire,
+                              first_wire + plan.timeout_wait_us, msg_id))
+            for _ in range(plan.retransmits):  # the lost copies
+                add_span(Span(CAT_RETRANSMIT, NETWORK, first_wire,
+                              first_wire + latency_us, msg_id))
+            add_span(Span(CAT_TRANSIT, NETWORK,
+                          arrive - (latency_us + plan.jitter_us), arrive,
+                          msg_id))
+            for _ in range(plan.duplicates):
+                add_span(Span(CAT_TRANSIT, NETWORK, arrive - latency_us,
+                              arrive, msg_id))
+
+        def record_receipts(proc: int, begin: float, copies: int,
+                            msg_id: int) -> None:
+            """Receive and ack every copy, then the acks' transits."""
+            for _ in range(copies):
+                add_span(Span(CAT_RECV, proc, begin, begin + recv_us,
+                              msg_id))
+                add_span(Span(CAT_ACK, proc, begin + recv_us,
+                              begin + recv_us + send_us, msg_id))
+                begin += recv_us + send_us
+            for _ in range(copies):
+                add_span(Span(CAT_ACK, NETWORK, begin, begin + latency_us,
+                              msg_id))
+
+        def record_envelope(act, slot: int, start: float, end: float,
+                            via_message: bool,
+                            received: Optional[DeliveryPlan]) -> None:
+            """One activation's processing interval on its processor,
+            with the delivery delay of the message that triggered it."""
+            wait_comm = wait_protocol = 0.0
+            if via_message:
+                wait_comm = send_us + latency_us
+                if received is not None:
+                    wait_comm += received.jitter_us
+                    wait_protocol = received.timeout_wait_us
+            add_envelope(Envelope(act.act_id, act.parent_id, procs[slot],
+                                  start, end, via_message,
+                                  wait_comm_us=wait_comm,
+                                  wait_protocol_us=wait_protocol))
+
+    def past_stalls(slot: int, t: float) -> float:
+        """Earliest time >= *t* at which *slot* may start work."""
+        nonlocal stall_us
+        intervals = windows.get(slot)
+        if not intervals:
+            return t
+        start = _past_windows(intervals, t)
+        if start > t:
+            stall_us += start - t
+            if record:
+                add_span(Span(CAT_STALL, procs[slot], t, start))
+        return start
+
+    def deliver(msg_id: int) -> DeliveryPlan:
+        """Plan one data message and count its protocol traffic."""
+        nonlocal retransmits, duplicate_drops, acks, timeout_wait_us
+        nonlocal n_messages, network_busy
+        plan = plan_delivery(faults, protocol, index, msg_id)
+        copies = plan.attempts + plan.duplicates
+        retransmits += plan.retransmits
+        duplicate_drops += plan.duplicates
+        timeout_wait_us += plan.timeout_wait_us
+        acks += 1 + plan.duplicates
+        # Data copies + one ack per received copy cross the network.
+        n_messages += copies + 1 + plan.duplicates
+        network_busy += latency_us * (copies + 1 + plan.duplicates) \
+            + plan.jitter_us
+        return plan
 
     seq = 0
-    #: heap of (arrival, seq, proc, via_message, activation); seq is
+    #: heap of (arrival, seq, slot, via_message, activation); seq is
     #: unique, so tuple comparison never reaches the activation.
     queue: list = []
     heappush = heapq.heappush
@@ -497,25 +618,57 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     control_arrivals: List[float] = []
     control_ready = control_busy  # control is busy until broadcast sent
 
-    def send_to_control(depart: float) -> None:
+    def ship(start: float, msg_id: int, slot: int) -> float:
+        """Send instantiation *msg_id* from *slot* to the control
+        processor; returns when the sender is free again."""
         nonlocal control_busy, control_ready, network_busy, n_messages
-        n_messages += 1
-        network_busy += latency_us
-        arrive = depart + latency_us
-        # Control handles instantiation receipts FIFO as they arrive.
-        control_ready = max(control_ready, arrive) + recv_us
-        control_busy += recv_us
+        if reliable:
+            plan = deliver(msg_id)
+            # Sender: one send overhead per attempt, one ack receipt.
+            t = start + send_us * plan.attempts + recv_us
+            arrive = start + send_us + plan.timeout_wait_us \
+                + latency_us + plan.jitter_us
+            # Control: FIFO receipt of every copy, one ack send per copy.
+            copies = 1 + plan.duplicates
+            begin = max(control_ready, arrive)
+            control_ready = begin + (recv_us + send_us) * copies
+            control_busy += (recv_us + send_us) * copies
+        else:
+            t = start + send_us
+            n_messages += 1
+            network_busy += latency_us
+            arrive = t + latency_us
+            # Control handles instantiation receipts FIFO as they arrive.
+            begin = max(control_ready, arrive)
+            control_ready = begin + recv_us
+            control_busy += recv_us
         control_arrivals.append(control_ready)
+        if record:
+            proc = procs[slot]
+            if reliable:
+                record_sender_side(proc, start, plan, msg_id)
+                record_data_transits(start, arrive, plan, msg_id)
+                record_receipts(CONTROL, begin, copies, msg_id)
+            else:
+                add_span(Span(CAT_SEND, proc, start, t, msg_id))
+                add_span(Span(CAT_TRANSIT, NETWORK, t, arrive, msg_id))
+                add_span(Span(CAT_RECV, CONTROL, begin, control_ready,
+                              msg_id))
+        return t
 
     for root in cycle.roots():
         owner = dest_of[root.act_id]
         if root.kind == KIND_TERMINAL:
             # A single-CE instantiation: produced by the constant tests;
             # the bucket owner ships it to the control processor.
-            depart = ready[owner] + send_us
-            busy[owner] += send_us
-            ready[owner] = depart
-            send_to_control(depart)
+            start = ready[owner]
+            if windows:
+                start = past_stalls(owner, start)
+            t = ship(start, root.act_id, owner)
+            busy[owner] += t - start if reliable else send_us
+            ready[owner] = t
+            if record:
+                record_envelope(root, owner, start, t, False, None)
             continue
         seq += 1
         heappush(queue, (ready[owner], seq, owner, False, root))
@@ -525,280 +678,117 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
         arrival, _, p, via_message, act = heappop(queue)
         proc_ready = ready[p]
         start = proc_ready if proc_ready > arrival else arrival
+        if windows:
+            start = past_stalls(p, start)
         t = start
         if via_message:
-            t += recv_us
-        t += left_us if act.side == LEFT else right_us
+            if reliable:
+                # Receive the data copy, ack it; drop + ack any duplicate.
+                received = plan_delivery(faults, protocol, index,
+                                         act.act_id)
+                t += (recv_us + send_us) * (1 + received.duplicates)
+                if record:
+                    record_receipts(procs[p], start,
+                                    1 + received.duplicates, act.act_id)
+            else:
+                t += recv_us
+                if record:
+                    add_span(Span(CAT_RECV, procs[p], start, t,
+                                  act.act_id))
+        token_start = t
+        side = act.side
+        t += left_us if side == LEFT else right_us
         extra = get_extra(act.act_id)
         if extra is not None:
             t += extra
+        if record:
+            add_span(Span(CAT_TOKEN_ADD if act.tag == "+" else
+                          CAT_TOKEN_DELETE, procs[p], token_start, t,
+                          act.act_id))
         activations[p] += 1
-        if act.side == LEFT:
+        if side == LEFT:
             left_activations[p] += 1
 
         for succ_id in act.successors:
             succ = acts[succ_id]
+            if record:
+                add_span(Span(CAT_SUCCESSOR, procs[p], t, t + successor_us,
+                              succ_id))
             t += successor_us
             if succ.kind == KIND_TERMINAL:
-                t += send_us
-                send_to_control(t)
+                t = ship(t, succ_id, p)
                 continue
             dest = dest_of[succ_id]
             seq += 1
             if dest == p:
                 heappush(queue, (t, seq, p, False, succ))
+            elif reliable:
+                sent = deliver(succ_id)
+                arrive = t + send_us + sent.timeout_wait_us \
+                    + latency_us + sent.jitter_us
+                if record:
+                    record_sender_side(procs[p], t, sent, succ_id)
+                    record_data_transits(t, arrive, sent, succ_id)
+                # Sender: send per attempt, then the ack receipt.
+                t += send_us * sent.attempts + recv_us
+                heappush(queue, (arrive, seq, dest, True, succ))
             else:
+                token_messages += 1
+                if record:
+                    add_span(Span(CAT_SEND, procs[p], t, t + send_us,
+                                  succ_id))
+                    add_span(Span(CAT_TRANSIT, NETWORK, t + send_us,
+                                  t + send_us + latency_us, succ_id))
                 t += send_us
                 heappush(queue, (t + latency_us, seq, dest, True, succ))
 
+        if record:
+            record_envelope(act, p, start, t, via_message,
+                            received if via_message and reliable else None)
         busy[p] += t - start
         ready[p] = t
 
-    # Tally inter-processor token messages by walking the causal links
-    # against the mapping (equivalent to counting via_message pushes).
-    token_messages = 0
-    for act in cycle.ordered():
-        parent_id = act.parent_id
-        if act.kind == KIND_TERMINAL or parent_id is None:
-            continue
-        if acts[parent_id].kind == KIND_TERMINAL:
-            continue
-        if dest_of[parent_id] != dest_of[act.act_id]:
-            token_messages += 1
-    n_messages += token_messages
-    network_busy += token_messages * latency_us
-
-    makespan = max([match_start + costs.constant_tests_us]
-                   + ready + control_arrivals)
-    return CycleResult(index=cycle.index, makespan_us=makespan,
-                       proc_busy_us=busy,
-                       proc_activations=activations,
-                       proc_left_activations=left_activations,
-                       n_messages=n_messages,
-                       network_busy_us=network_busy,
-                       control_busy_us=control_busy)
-
-
-def _idle_cycle_result(n_procs: int, costs: CostModel,
-                       overheads: OverheadModel) -> CycleResult:
-    """Closed-form result of one fully-idle cycle.
-
-    An empty cycle still broadcasts the (empty) wme packet and runs the
-    constant tests everywhere, so its cost is exactly the Section 3.2
-    floor: makespan ``send + latency + recv + constant_tests``, every
-    processor busy ``recv + constant_tests``, one message (the
-    broadcast), ``latency`` of network transit and ``send`` of control
-    time.  The expressions mirror :func:`_simulate_cycle` on an empty
-    cycle operation for operation, so the template is bit-identical to
-    simulating the cycle — that is what lets round compression replace
-    a million executions of the dense loop with one of these plus a
-    repeat count.
-    """
-    send_us = overheads.send_us
-    recv_us = overheads.recv_us
-    latency_us = overheads.latency_us
-    match_start = send_us + latency_us + recv_us
-    return CycleResult(
-        index=0,
-        makespan_us=match_start + costs.constant_tests_us,
-        proc_busy_us=SparseProcArray(
-            n_procs, recv_us + costs.constant_tests_us),
-        proc_activations=SparseProcArray(n_procs, 0),
-        proc_left_activations=SparseProcArray(n_procs, 0),
-        n_messages=1,
-        network_busy_us=latency_us if n_procs > 0 else 0.0,
-        control_busy_us=send_us)
-
-
-def _idle_cycle_result_faulty(n_procs: int, costs: CostModel,
-                              overheads: OverheadModel,
-                              faults) -> CycleResult:
-    """Closed-form result of one fully-idle cycle under *faults*.
-
-    An idle cycle carries no data messages (the broadcast is reliable
-    by model), so loss, duplication and jitter draws can never reach it
-    — the only fault state that can is a stall window.  Cycle-specific
-    stalls and fail-stops are excluded from compression by the caller
-    (their indices break the stretch), leaving every-cycle
-    (``cycle=None``) windows, which by definition hit each idle cycle
-    identically: one template serves the whole stretch.  Each
-    expression mirrors :func:`repro.mpc.faults
-    .simulate_cycle_with_faults` on an empty cycle operation for
-    operation — same operands, same order — so the template is
-    bit-identical to simulating the cycle.
-    """
-    base = _idle_cycle_result(n_procs, costs, overheads)
-    windows: Dict[int, List[Tuple[float, float]]] = {}
-    for stall in faults.stalls:
-        if stall.cycle is not None:
-            continue
-        if not 0 <= stall.proc < n_procs:
-            continue
-        windows.setdefault(stall.proc, []).append(
-            (stall.start_us, stall.end_us))
-    if not windows:
-        return base
-    match_start = overheads.send_us + overheads.latency_us \
-        + overheads.recv_us
-    stall_us = 0.0
-    makespan = base.makespan_us
-    for p in sorted(windows):  # ascending: float-sum order matters
-        intervals = windows[p]
-        intervals.sort()
-        t = match_start
-        for start, end in intervals:
-            if start <= t < end:
-                t = end
-        stall_us += t - match_start
-        ready = t + costs.constant_tests_us
-        if ready > makespan:
-            makespan = ready
-    return replace(base, makespan_us=makespan, stall_us=stall_us)
-
-
-def _simulate_cycle_active(cycle: CycleTrace, n_procs: int,
-                           costs: CostModel,
-                           overheads: OverheadModel,
-                           mapping: BucketMapping,
-                           search_costs: Optional[Dict[int, float]] = None
-                           ) -> CycleResult:
-    """O(active work) mirror of :func:`_simulate_cycle`.
-
-    Identical event processing, but per-processor state lives in dicts
-    keyed by the processors the cycle actually touches; everyone else
-    sits at the closed-form post-broadcast floor (``floor_ready`` /
-    ``floor_busy``), supplied as dict-lookup defaults and as the
-    :class:`~repro.mpc.metrics.SparseProcArray` defaults of the result.
-    Because an untouched processor's dense-loop value *is* exactly the
-    floor, and every operation on a touched processor uses the same
-    operands in the same order as the dense loop, the result is
-    bit-identical — at O(events) cost instead of O(P + events).
-    """
-    send_us = overheads.send_us
-    recv_us = overheads.recv_us
-    latency_us = overheads.latency_us
-    left_us = costs.left_token_us
-    right_us = costs.right_token_us + _TEST_MUTATE_RIGHT_TOKEN_US
-    successor_us = costs.successor_us
-    acts = cycle.activations
-    get_extra = (search_costs or {}).get
-
-    processor_for = mapping.processor_for
-    key_proc: Dict[BucketKey, int] = {}
-    dest_of: Dict[int, int] = {}
-    for act in cycle.ordered():
-        key = act.key
-        proc = key_proc.get(key)
-        if proc is None:
-            proc = key_proc[key] = processor_for(key)
-        dest_of[act.act_id] = proc
-
-    # --- step 1: broadcast -------------------------------------------------
-    control_busy = send_us
-    match_start = send_us + latency_us + recv_us
-    network_busy = latency_us if n_procs > 0 else 0.0
-    n_messages = 1  # the broadcast packet
-
-    # --- step 2: constant tests — the floor every processor starts at ------
-    floor_ready = match_start + costs.constant_tests_us
-    floor_busy = recv_us + costs.constant_tests_us
-    ready: Dict[int, float] = {}
-    busy: Dict[int, float] = {}
-    activations: Dict[int, int] = {}
-    left_activations: Dict[int, int] = {}
-    ready_get = ready.get
-    busy_get = busy.get
-    activations_get = activations.get
-    left_get = left_activations.get
-
-    seq = 0
-    queue: list = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    control_arrivals: List[float] = []
-    control_ready = control_busy  # control is busy until broadcast sent
-
-    def send_to_control(depart: float) -> None:
-        nonlocal control_busy, control_ready, network_busy, n_messages
-        n_messages += 1
-        network_busy += latency_us
-        arrive = depart + latency_us
-        control_ready = max(control_ready, arrive) + recv_us
-        control_busy += recv_us
-        control_arrivals.append(control_ready)
-
-    for root in cycle.roots():
-        owner = dest_of[root.act_id]
-        if root.kind == KIND_TERMINAL:
-            depart = ready_get(owner, floor_ready) + send_us
-            busy[owner] = busy_get(owner, floor_busy) + send_us
-            ready[owner] = depart
-            send_to_control(depart)
-            continue
-        seq += 1
-        heappush(queue, (ready_get(owner, floor_ready), seq, owner,
-                         False, root))
-
-    # --- steps 3-4: event loop ---------------------------------------------
-    while queue:
-        arrival, _, p, via_message, act = heappop(queue)
-        proc_ready = ready_get(p, floor_ready)
-        start = proc_ready if proc_ready > arrival else arrival
-        t = start
-        if via_message:
-            t += recv_us
-        t += left_us if act.side == LEFT else right_us
-        extra = get_extra(act.act_id)
-        if extra is not None:
-            t += extra
-        activations[p] = activations_get(p, 0) + 1
-        if act.side == LEFT:
-            left_activations[p] = left_get(p, 0) + 1
-
-        for succ_id in act.successors:
-            succ = acts[succ_id]
-            t += successor_us
-            if succ.kind == KIND_TERMINAL:
-                t += send_us
-                send_to_control(t)
-                continue
-            dest = dest_of[succ_id]
-            seq += 1
-            if dest == p:
-                heappush(queue, (t, seq, p, False, succ))
-            else:
-                t += send_us
-                heappush(queue, (t + latency_us, seq, dest, True, succ))
-
-        busy[p] = busy_get(p, floor_busy) + (t - start)
-        ready[p] = t
-
-    token_messages = 0
-    for act in cycle.ordered():
-        parent_id = act.parent_id
-        if act.kind == KIND_TERMINAL or parent_id is None:
-            continue
-        if acts[parent_id].kind == KIND_TERMINAL:
-            continue
-        if dest_of[parent_id] != dest_of[act.act_id]:
-            token_messages += 1
+    # Fault-free token messages, tallied once (zero under faults, where
+    # deliver() counted each one as it was sent).
     n_messages += token_messages
     network_busy += token_messages * latency_us
 
     # Untouched processors all sit exactly at floor_ready, so including
-    # the floor once makes this max bit-identical to the dense one.
-    makespan = max([floor_ready] + list(ready.values())
-                   + control_arrivals)
-    return CycleResult(index=cycle.index, makespan_us=makespan,
-                       proc_busy_us=SparseProcArray(
-                           n_procs, floor_busy, busy),
-                       proc_activations=SparseProcArray(
-                           n_procs, 0, activations),
-                       proc_left_activations=SparseProcArray(
-                           n_procs, 0, left_activations),
+    # the floor once makes this max equal the one over every processor.
+    makespan = max([floor_ready] + ready + control_arrivals)
+    if sparse:
+        proc_busy = SparseProcArray(n_procs, floor_busy, {
+            proc: b for proc, b in zip(procs, busy) if b != floor_busy})
+        proc_acts = SparseProcArray(n_procs, 0, {
+            proc: n for proc, n in zip(procs, activations) if n})
+        proc_left = SparseProcArray(n_procs, 0, {
+            proc: n for proc, n in zip(procs, left_activations) if n})
+    else:
+        proc_busy = [floor_busy] * n_procs
+        proc_acts = [0] * n_procs
+        proc_left = [0] * n_procs
+        for slot, proc in enumerate(procs):
+            proc_busy[proc] = busy[slot]
+            proc_acts[proc] = activations[slot]
+            proc_left[proc] = left_activations[slot]
+    if record:
+        recorder.add_cycle(CycleTimeline(
+            index=index, n_procs=n_procs, makespan_us=makespan,
+            proc_busy_us=list(proc_busy), spans=spans,
+            envelopes=envelopes, repeat=repeat))
+    return CycleResult(index=index, makespan_us=makespan,
+                       proc_busy_us=proc_busy,
+                       proc_activations=proc_acts,
+                       proc_left_activations=proc_left,
                        n_messages=n_messages,
                        network_busy_us=network_busy,
-                       control_busy_us=control_busy)
+                       control_busy_us=control_busy,
+                       retransmits=retransmits,
+                       duplicate_drops=duplicate_drops,
+                       acks=acks,
+                       timeout_wait_us=timeout_wait_us,
+                       stall_us=stall_us,
+                       recovery_us=recovery_us)
 
 
 def simulate_base(trace: SectionTrace,

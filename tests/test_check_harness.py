@@ -80,13 +80,14 @@ class TestMutationSmoke:
         assert run_oracles(case) == []
 
     def test_multiple_oracles_catch_it(self):
-        # The mutation hits only the optimized fast path, so every
-        # mirror of that path must notice.
+        # The mutation hits every mode of the simulator's one event loop
+        # but not the frozen reference loop, so both oracles that
+        # compare against the reference must notice.
         case = first_trace_case()
         with mutated_right_token_cost(1.0):
             names = {name for name, _ in run_oracles(case)}
         assert "opt_vs_reference" in names
-        assert "recorder_invisible" in names
+        assert "compressed_vs_exact" in names
 
 
 class TestShrinkTrace:

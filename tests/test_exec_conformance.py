@@ -231,3 +231,27 @@ class TestLoadtest:
         assert payload["shed"]["overloaded"] == payload["shed"]["total"]
         assert payload["completed"] + payload["shed"]["total"] \
             + sum(payload["errors"].values()) == 40
+
+    def test_latency_is_stamped_at_completion(self):
+        """Sessions that finish at once must report near-zero latency,
+        however long the driver then sleeps toward later arrivals."""
+        import concurrent.futures
+
+        from repro.exec import run_loadtest
+
+        class InstantServer:
+            max_sessions = 1
+            max_pending = 1
+            load = {}
+
+            def submit(self, trace, config):
+                future = concurrent.futures.Future()
+                future.set_result(None)
+                return future
+
+        payload = run_loadtest(sessions=10, duration_s=0.5, seed=1,
+                               trace=weaver_section(),
+                               server=InstantServer())
+        assert payload["completed"] == 10
+        assert payload["latency_s"]["max"] < 0.05
+        assert payload["throughput_per_s"] > 0.0

@@ -3,9 +3,9 @@
 The config object is the one value naming a complete machine
 configuration; its contracts are (a) it validates on construction with
 the CLI's exact one-line messages, (b) ``from_args`` reproduces the
-CLI's legacy flag handling, and (c) the deprecated keyword sprawl on
-``simulate()`` still works but warns — while the supported short form
-stays silent.
+CLI's legacy flag handling, and (c) ``simulate()`` is only the short
+form — trace, processor count, costs and overheads — which stays
+silent and equals the matching ``RunConfig`` run.
 """
 
 import warnings
@@ -118,20 +118,13 @@ class TestSimulateShim:
     def rubik(self):
         return rubik_section()
 
-    def test_sprawl_keywords_warn_but_match(self, rubik):
-        faults = FaultModel(seed=3, loss_prob=0.05)
-        with pytest.warns(DeprecationWarning,
-                          match="build a RunConfig and call "
-                                "simulate_config"):
-            shimmed = simulate(rubik, n_procs=8, faults=faults)
-        direct = simulate_config(rubik, RunConfig(n_procs=8,
-                                                  faults=faults))
-        assert shimmed == direct
-
-    def test_mapping_keyword_warns(self, rubik):
-        with pytest.warns(DeprecationWarning):
-            simulate(rubik, n_procs=4,
-                     mapping=RoundRobinMapping(n_procs=4))
+    def test_sprawl_keywords_are_gone(self, rubik):
+        for keyword, value in (
+                ("mapping", RoundRobinMapping(n_procs=4)),
+                ("mapping_factory", None), ("faults", FaultModel()),
+                ("protocol", ProtocolModel()), ("recorder", None)):
+            with pytest.raises(TypeError):
+                simulate(rubik, n_procs=4, **{keyword: value})
 
     def test_short_form_stays_silent(self, rubik):
         with warnings.catch_warnings():
