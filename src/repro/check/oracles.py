@@ -38,7 +38,9 @@ paths that are documented to produce *identical* results.  The pairs:
     the same ``(trace, config)``.  Timing fields are wall time on the
     live run and model time on the simulated one, so they are reported
     but never compared.  Declares ``every=5`` (an event loop per case
-    is not free).
+    is not free).  Every :data:`PROCESS_TRANSPORT_EVERY`-th case also
+    runs the ``process`` transport twice: its cross-sender message
+    order varies run to run.
 ``live_trace_invisible``
     ``RunConfig(live_trace=True)`` — flight recorders on every actor,
     span contexts on every data message — must be bit-invisible to
@@ -315,21 +317,34 @@ def parallel_vs_serial(case: TraceCase) -> Optional[str]:
     return None
 
 
+#: Every this many cases, ``actors_vs_sim`` also runs the ``process``
+#: transport — twice, since its message order differs run to run.
+PROCESS_TRANSPORT_EVERY = 8
+
+
 def actors_vs_sim(case: TraceCase) -> Optional[str]:
     from ..exec import match_signature, run
     n_procs, overheads = _pick_config(case, "actors_vs_sim")
     config = RunConfig(n_procs=n_procs, overheads=overheads)
-    sim = run(case.trace, config, backend="sim")
-    live = run(case.trace, config, backend="actors")
-    sim_sig, live_sig = match_signature(sim), match_signature(live)
-    if sim_sig != live_sig:
+    sim_sig = match_signature(run(case.trace, config, backend="sim"))
+    transports = ["asyncio"]
+    if case.index % PROCESS_TRANSPORT_EVERY == 0:
+        transports += ["process", "process"]
+    for transport in transports:
+        live_sig = match_signature(run(case.trace, config,
+                                       backend="actors",
+                                       transport=transport))
+        if sim_sig == live_sig:
+            continue
         for i, (a, b) in enumerate(zip(sim_sig, live_sig)):
             if a != b:
-                return (f"actor run diverged from simulator at "
-                        f"P={n_procs}, overheads={overheads.label()}, "
+                return (f"{transport} actor run diverged from "
+                        f"simulator at P={n_procs}, "
+                        f"overheads={overheads.label()}, "
                         f"cycle {i}: {a!r} != {b!r}")
-        return (f"actor run diverged from simulator at P={n_procs}: "
-                f"cycle counts {len(sim_sig)} vs {len(live_sig)}")
+        return (f"{transport} actor run diverged from simulator at "
+                f"P={n_procs}: cycle counts {len(sim_sig)} vs "
+                f"{len(live_sig)}")
     return None
 
 

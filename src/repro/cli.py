@@ -991,11 +991,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="served backend: concurrent sessions to run "
                         "(default 4)")
     p.add_argument("--supervise", action="store_true",
-                   help="live backends: wrap the run in the "
-                        "supervision layer (heartbeat liveness checks, "
-                        "per-cycle deadlines, checkpoint-replay "
-                        "restarts); results stay bit-identical to the "
-                        "unsupervised run")
+                   help="live backends: replay a failed cycle from "
+                        "its checkpoint on fresh workers (default "
+                        "SupervisePolicy restart budget); results stay "
+                        "bit-identical to a run without it")
     p.add_argument("--chaos", action="store_true",
                    help="actors backend: inject a light deterministic "
                         "chaos mix (message drop/duplicate/delay, "

@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..mpc.config import RunConfig, SupervisePolicy
 from ..trace.events import SectionTrace
-from .actors import ActorExecutor, run_section_async
+from .actors import ActorExecutor
 from .base import (Executor, RunHandle, RunResult, match_signature)
 from .chaos import NULL_CHAOS, ChaosPolicy
 from .errors import (ENV_TIMEOUT, ExecutorCrashed, ExecutorError,
@@ -29,11 +29,9 @@ from .errors import (ENV_TIMEOUT, ExecutorCrashed, ExecutorError,
                      RestartsExhausted, SessionOverloaded,
                      exec_timeout_s)
 from .loadtest import arrival_offsets, run_loadtest
-from .plan import (CONTROL, ActorCyclePlan, CyclePlan, MatchActorCore,
-                   build_plans, expected_fires)
+from .plan import CONTROL, MatchActorCore, build_plans, expected_fires
 from .served import SessionServer, ServedExecutor
 from .sim import SimExecutor
-from .supervise import run_supervised_async, run_supervised_mp
 
 #: Backend registry: name -> executor class.  ``get_executor`` builds a
 #: fresh instance per call; backend-specific options (``transport`` for
@@ -73,11 +71,9 @@ def run(trace: SectionTrace, config: Optional[RunConfig] = None,
 
 __all__ = [
     "ActorExecutor",
-    "ActorCyclePlan",
     "BACKENDS",
     "CONTROL",
     "ChaosPolicy",
-    "CyclePlan",
     "ENV_TIMEOUT",
     "Executor",
     "ExecutorCrashed",
@@ -103,7 +99,4 @@ __all__ = [
     "match_signature",
     "run",
     "run_loadtest",
-    "run_section_async",
-    "run_supervised_async",
-    "run_supervised_mp",
 ]

@@ -7,14 +7,16 @@ messages really travel between partitions, instantiations really
 arrive at control, and a sync barrier really closes every
 recognize-act cycle.
 
-Two transports move the messages:
+Two transports move the messages, each one engine
+(:class:`~repro.exec.supervise.Engine`) driven by the one control loop
+in :func:`~repro.exec.supervise.run_engine`:
 
 ``asyncio`` (default)
     One :mod:`asyncio` task and queue per match actor, all in one
-    process.  Cheap, deterministic to start, runs anywhere.
+    process (:func:`run_section_async`, here).  Cheap, runs anywhere.
 ``process``
     One OS process per match actor with :mod:`multiprocessing` queues
-    (:mod:`repro.exec.mp`) — actual parallel execution.
+    (:func:`repro.exec.mp.run_section_mp`) — actual parallel execution.
 
 Either way the counters come out of the same
 :class:`~repro.exec.plan.MatchActorCore` state machines, so activation
@@ -22,12 +24,13 @@ counts, message counts and fire sets are equal to the simulator's for
 the same ``(trace, config)`` — the ``actors_vs_sim`` oracle in
 :mod:`repro.check` holds exactly.  Timing fields are measured wall
 time, reported for comparison against the model, never asserted.
+Supervision (``RunConfig.supervise``), chaos and live tracing are
+options of that one engine, not separate code paths.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..mpc.config import RunConfig, SupervisePolicy
@@ -35,9 +38,8 @@ from ..mpc.metrics import SimResult
 from ..trace.events import SectionTrace
 from .base import FireSet, RunHandle, RunResult
 from .chaos import ChaosPolicy
-from .errors import ExecutorCrashed, ExecutorError
-from .plan import (CONTROL, CycleAccumulator, MatchActorCore,
-                   build_plans)
+from .errors import ExecutorError
+from .supervise import ActorRunner, Engine, run_engine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs.trace import LiveTraceCollector
@@ -45,8 +47,91 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: Transports accepted by :class:`ActorExecutor`.
 TRANSPORTS = ("asyncio", "process")
 
+#: What an expired :meth:`_AsyncEngine.wait` timer puts on the queue.
+_TIMEOUT = ("timeout",)
+
+
+class _AsyncEngine(Engine):
+    """One generation of asyncio match-actor tasks and their queues."""
+
+    def start(self) -> None:
+        self.inboxes = [asyncio.Queue() for _ in range(self.n_procs)]
+        self.control_q: asyncio.Queue = asyncio.Queue()
+        self._puts = [q.put_nowait for q in self.inboxes] \
+            + [self.control_q.put_nowait]
+        self.tasks = [asyncio.create_task(self._actor_main(i))
+                      for i in range(self.n_procs)]
+
+    async def stop(self) -> None:
+        for task in self.tasks:
+            task.cancel()
+        await asyncio.gather(*self.tasks, return_exceptions=True)
+        if self.collector is not None:
+            # Salvage flight-recorder drains the actors flushed on
+            # cancellation: filtered from the committed timeline, but
+            # kept for post-mortem dumps.
+            while not self.control_q.empty():
+                message = self.control_q.get_nowait()
+                if message[0] == "spans":
+                    self.collector.add_drain(message)
+
+    def kill(self, actor_id: int) -> None:
+        self.tasks[actor_id].cancel()
+
+    def dead_actor(self) -> Optional[int]:
+        for i, task in enumerate(self.tasks):
+            if task.done():
+                return i
+        return None
+
+    def send(self, actor_id: int, message: Tuple) -> None:
+        self.inboxes[actor_id].put_nowait(message)
+
+    def poll(self):
+        try:
+            message = self.control_q.get_nowait()
+        except asyncio.QueueEmpty:
+            return None
+        return None if message is _TIMEOUT else message
+
+    async def wait(self, timeout: float):
+        # A timer that posts a sentinel is far cheaper than
+        # asyncio.wait_for, which wraps the get in a new task; a
+        # sentinel that fires late is skipped by poll/wait.
+        control_q = self.control_q
+        timer = asyncio.get_running_loop().call_later(
+            timeout, control_q.put_nowait, _TIMEOUT)
+        try:
+            message = await control_q.get()
+        finally:
+            timer.cancel()
+        return None if message is _TIMEOUT else message
+
+    async def _actor_main(self, actor_id: int) -> None:
+        runner = ActorRunner(
+            actor_id, self.config, self.generation, self.chaos,
+            self.collector is not None, self._puts,
+            asyncio.get_running_loop().call_later)
+        chaos, handle = self.chaos, runner.handle
+        inbox = self.inboxes[actor_id]
+        try:
+            while True:
+                message = await inbox.get()
+                if chaos is not None:
+                    stall = runner.stall_for(message)
+                    if stall > 0.0:
+                        await asyncio.sleep(stall)
+                if not handle(message):
+                    return
+        except asyncio.CancelledError:
+            runner.flush()
+            raise
+        except Exception as err:  # surface instead of hanging control
+            runner.fail(err)
+
 
 async def run_section_async(trace: SectionTrace, config: RunConfig,
+                            chaos: Optional[ChaosPolicy] = None,
                             collector: Optional[
                                 "LiveTraceCollector"] = None,
                             ) -> Tuple[SimResult, List[FireSet], float]:
@@ -55,162 +140,12 @@ async def run_section_async(trace: SectionTrace, config: RunConfig,
     Usable directly from an existing event loop — the served backend
     runs many of these concurrently on one loop, each with its own
     queues and actor cores (per-session sharded working memory).
-
-    With a :class:`~repro.obs.trace.LiveTraceCollector` the run is
-    traced: data messages carry a ``(sender, send_ts)`` context, each
-    actor records match/send/barrier spans into a flight recorder
-    drained over the control queue before every barrier reply, and the
-    control loop records one cycle span per committed cycle.  With
-    ``collector=None`` (the default) this function is byte-for-byte
-    the untraced protocol — no context on messages, no recorders.
+    Supervision follows ``config.supervise``; *chaos* and a
+    :class:`~repro.obs.trace.LiveTraceCollector` are optional hooks
+    (see :mod:`repro.exec.supervise`).
     """
-    plans = build_plans(trace, config)
-    n_procs = config.n_procs
-    inboxes = [asyncio.Queue() for _ in range(n_procs)]
-    control_q: asyncio.Queue = asyncio.Queue()
-    traced = collector is not None
-    if traced:
-        from ..obs.trace import (LIVE_BARRIER, LIVE_CYCLE, LIVE_MATCH,
-                                 LIVE_SEND, FlightRecorder)
-
-    async def actor_main(actor_id: int) -> None:
-        core = MatchActorCore(actor_id, config)
-        inbox = inboxes[actor_id]
-        try:
-            while True:
-                message = await inbox.get()
-                kind = message[0]
-                if kind == "shutdown":
-                    return
-                if kind == "sync":
-                    control_q.put_nowait(("stats", actor_id,
-                                          core.on_sync()))
-                    continue
-                if kind == "cycle":
-                    out, processed = core.on_cycle(message[1])
-                else:  # "token"
-                    out, processed = core.on_token(message[1])
-                for dst, msg in out:
-                    if dst == CONTROL:
-                        control_q.put_nowait(msg)
-                    else:
-                        inboxes[dst].put_nowait(msg)
-                if processed:
-                    control_q.put_nowait(("processed", processed))
-        except Exception as err:  # surface instead of hanging control
-            control_q.put_nowait(("actor_error", actor_id, repr(err)))
-
-    async def actor_main_traced(actor_id: int) -> None:
-        core = MatchActorCore(actor_id, config)
-        recorder = FlightRecorder(actor_id)
-        inbox = inboxes[actor_id]
-        cycle = 0
-        last_done = recorder.perf_base
-        try:
-            while True:
-                message = await inbox.get()
-                kind = message[0]
-                now = time.perf_counter()
-                if kind == "shutdown":
-                    control_q.put_nowait(recorder.drain())
-                    return
-                if kind == "sync":
-                    recorder.record(LIVE_BARRIER, cycle, last_done, now)
-                    control_q.put_nowait(recorder.drain())
-                    control_q.put_nowait(("stats", actor_id,
-                                          core.on_sync()))
-                    continue
-                if kind == "cycle":
-                    cycle = message[2]
-                    ctx = message[3]
-                    out, processed = core.on_cycle(message[1])
-                else:  # "token"
-                    ctx = message[2]
-                    out, processed = core.on_token(message[1])
-                done = time.perf_counter()
-                recorder.record(
-                    LIVE_MATCH, cycle, now, done, n=processed,
-                    act_id=(message[1] if kind == "token" else -1),
-                    src=ctx[0], sent_s=ctx[1], busy_us=core.busy_us)
-                if out:
-                    for dst, msg in out:
-                        stamped = msg + ((actor_id,
-                                          time.perf_counter()),)
-                        if dst == CONTROL:
-                            control_q.put_nowait(stamped)
-                        else:
-                            inboxes[dst].put_nowait(stamped)
-                    recorder.record(LIVE_SEND, cycle, done,
-                                    time.perf_counter(), n=len(out))
-                last_done = time.perf_counter()
-                if processed:
-                    control_q.put_nowait(("processed", processed))
-        except Exception as err:  # surface instead of hanging control
-            control_q.put_nowait(recorder.drain())
-            control_q.put_nowait(("actor_error", actor_id, repr(err)))
-
-    main = actor_main_traced if traced else actor_main
-    tasks = [asyncio.create_task(main(i)) for i in range(n_procs)]
-    result = SimResult(trace_name=trace.name, n_procs=n_procs)
-    fires: List[FireSet] = []
-    section_start = time.perf_counter()
-    try:
-        for plan in plans:
-            cycle_start = time.perf_counter()
-            accumulator = CycleAccumulator(plan, config)
-            for i in range(n_procs):
-                if traced:
-                    inboxes[i].put_nowait(
-                        ("cycle", plan.per_actor[i], plan.index,
-                         (CONTROL, time.perf_counter())))
-                else:
-                    inboxes[i].put_nowait(("cycle", plan.per_actor[i]))
-            while not accumulator.done:
-                message = await control_q.get()
-                if message[0] == "actor_error":
-                    raise ExecutorCrashed(
-                        f"match actor {message[1]} failed: {message[2]}",
-                        actor=message[1], cycle=plan.index)
-                if traced and message[0] == "spans":
-                    collector.add_drain(message)
-                    continue
-                accumulator.note(message)
-            for i in range(n_procs):
-                inboxes[i].put_nowait(("sync",))
-            stats: List = [None] * n_procs
-            remaining = n_procs
-            while remaining:
-                message = await control_q.get()
-                if message[0] == "stats":
-                    stats[message[1]] = message[2]
-                    remaining -= 1
-                elif message[0] == "actor_error":
-                    raise ExecutorCrashed(
-                        f"match actor {message[1]} failed: {message[2]}",
-                        actor=message[1], cycle=plan.index)
-                elif traced and message[0] == "spans":
-                    collector.add_drain(message)
-                else:
-                    accumulator.note(message)
-            wall_s = time.perf_counter() - cycle_start
-            cycle_result, fired = accumulator.finish(stats, wall_s)
-            if traced:
-                collector.recorder.record(
-                    LIVE_CYCLE, plan.index, cycle_start,
-                    time.perf_counter(), n=cycle_result.n_messages)
-                collector.commit(plan.index, 0)
-            result.cycles.append(cycle_result)
-            fires.append(fired)
-    finally:
-        for i in range(n_procs):
-            inboxes[i].put_nowait(("shutdown",))
-        await asyncio.gather(*tasks, return_exceptions=True)
-        if traced:
-            while not control_q.empty():
-                message = control_q.get_nowait()
-                if message[0] == "spans":
-                    collector.add_drain(message)
-    return result, fires, time.perf_counter() - section_start
+    return await run_engine(trace, config, chaos, collector,
+                            _AsyncEngine)
 
 
 def _check_supported(config: RunConfig) -> None:
@@ -229,14 +164,12 @@ class ActorExecutor:
     this process) or ``"process"`` (one OS process per actor, see
     :mod:`repro.exec.mp`).
 
-    When the config carries a
-    :class:`~repro.mpc.config.SupervisePolicy` (``config.supervise``),
-    or a non-null :class:`~repro.exec.chaos.ChaosPolicy` is given, the
-    run goes through the supervised engines in
-    :mod:`repro.exec.supervise` — heartbeat liveness checks, per-cycle
-    deadlines, checkpoint-replay restarts.  A chaos policy without an
-    explicit supervision policy turns on default supervision: chaos
-    without recovery would just be a hang.
+    A :class:`~repro.mpc.config.SupervisePolicy` on the config
+    (``config.supervise``) grants the run worker restarts with
+    checkpoint replay (see :mod:`repro.exec.supervise`).  A non-null
+    :class:`~repro.exec.chaos.ChaosPolicy` without an explicit policy
+    turns on default supervision: chaos without recovery would just be
+    a failed run.
     """
 
     name = "actors"
@@ -257,7 +190,6 @@ class ActorExecutor:
             chaos = None
         if chaos is not None and config.supervise is None:
             config = config.replace(supervise=SupervisePolicy())
-        supervised = config.supervise is not None
 
         def thunk() -> RunResult:
             collector = None
@@ -266,24 +198,14 @@ class ActorExecutor:
                 collector = LiveTraceCollector(
                     trace.name, config.n_procs, self.transport)
             try:
-                if supervised:
-                    from .supervise import (run_supervised_async,
-                                            run_supervised_mp)
-                    if self.transport == "process":
-                        result, fires, wall_s = run_supervised_mp(
-                            trace, config, chaos, collector=collector)
-                    else:
-                        result, fires, wall_s = asyncio.run(
-                            run_supervised_async(trace, config, chaos,
-                                                 collector=collector))
-                elif self.transport == "process":
+                if self.transport == "process":
                     from .mp import run_section_mp
                     result, fires, wall_s = run_section_mp(
-                        trace, config, collector=collector)
+                        trace, config, chaos, collector)
                 else:
                     result, fires, wall_s = asyncio.run(
-                        run_section_async(trace, config,
-                                          collector=collector))
+                        run_section_async(trace, config, chaos,
+                                          collector))
             except ExecutorError as err:
                 if collector is not None:
                     from ..obs.trace import dump_flight

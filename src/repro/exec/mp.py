@@ -1,11 +1,20 @@
 """The multiprocessing transport for the ``actors`` backend.
 
 Same protocol, same :class:`~repro.exec.plan.MatchActorCore` state
-machines as the asyncio transport — but each match actor is an OS
-process with a :class:`multiprocessing.Queue` inbox, so activations in
-different bucket partitions really execute in parallel.  The control
-actor runs synchronously in the parent process (the paper's control
-processor is serialized by the barrier anyway).
+machines and the same control loop
+(:func:`~repro.exec.supervise.run_engine`) as the asyncio transport —
+but each match actor is an OS process with a
+:class:`multiprocessing.Queue` inbox, so activations in different
+bucket partitions really execute in parallel.  The control actor runs
+in the parent process on a private event loop that has nothing else to
+schedule, so its blocking queue reads stall nobody (the paper's
+control processor is serialized by the barrier anyway).
+
+Each process flushes its queue writes through its own feeder thread,
+so messages from different senders arrive in no particular order:
+a peer's token can beat control's cycle broadcast into an inbox.
+:class:`~repro.exec.plan.MatchActorCore` buffers such tokens by cycle
+index, which is what makes this transport agree with the simulator.
 
 Everything crossing a process boundary is a plain picklable tuple; the
 ``fork`` start method is preferred when available (no module re-import
@@ -14,6 +23,7 @@ per actor), with the platform default as fallback.
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import queue as queue_mod
 import time
@@ -23,18 +33,16 @@ from ..mpc.config import RunConfig
 from ..mpc.metrics import SimResult
 from ..trace.events import SectionTrace
 from .base import FireSet
-from .errors import (DEFAULT_TIMEOUT_S, ExecutorCrashed, ExecutorWedged,
-                     exec_timeout_s)
-from .plan import CONTROL, CycleAccumulator, MatchActorCore, build_plans
+from .chaos import ChaosPolicy
+from .errors import ExecutorCrashed
+from .supervise import ActorRunner, Engine, run_engine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs.trace import LiveTraceCollector
 
-#: Default seconds the control process waits for any actor message
-#: before declaring the run wedged (an actor died without reporting).
-#: Resolved through :func:`repro.exec.errors.exec_timeout_s` at call
-#: time, so ``REPRO_EXEC_TIMEOUT_S`` overrides it.
-CONTROL_TIMEOUT_S = DEFAULT_TIMEOUT_S
+#: Seconds a stopping engine waits for its workers to exit on their
+#: own before killing them.
+STOP_GRACE_S = 2.0
 
 
 def _mp_context():
@@ -43,208 +51,120 @@ def _mp_context():
         "fork" if "fork" in methods else None)
 
 
+def _put_later(delay: float, put, msg: Tuple) -> None:
+    time.sleep(delay)
+    put(msg)
+
+
 def _actor_process(actor_id: int, config: RunConfig,
-                   inboxes, control_q, traced: bool = False) -> None:
+                   chaos: Optional[ChaosPolicy], generation: int,
+                   inboxes, control_q, traced: bool) -> None:
     """Child-process main loop: one match actor until shutdown."""
-    if traced:
-        _traced_actor_process(actor_id, config, inboxes, control_q)
-        return
-    core = MatchActorCore(actor_id, config)
+    puts = [q.put for q in inboxes] + [control_q.put]
+    runner = ActorRunner(actor_id, config, generation, chaos, traced,
+                         puts, _put_later)
     inbox = inboxes[actor_id]
     try:
         while True:
             message = inbox.get()
-            kind = message[0]
-            if kind == "shutdown":
+            if chaos is not None:
+                time.sleep(runner.stall_for(message))
+            if not runner.handle(message):
                 return
-            if kind == "sync":
-                control_q.put(("stats", actor_id, core.on_sync()))
-                continue
-            if kind == "cycle":
-                out, processed = core.on_cycle(message[1])
-            else:  # "token"
-                out, processed = core.on_token(message[1])
-            for dst, msg in out:
-                if dst == CONTROL:
-                    control_q.put(msg)
-                else:
-                    inboxes[dst].put(msg)
-            if processed:
-                control_q.put(("processed", processed))
     except Exception as err:  # surface instead of wedging control
-        control_q.put(("actor_error", actor_id, repr(err)))
+        runner.fail(err)
 
 
-def _traced_actor_process(actor_id: int, config: RunConfig,
-                          inboxes, control_q,
-                          generation: int = 0) -> None:
-    """The flight-recorded twin of :func:`_actor_process`.
+class _MpEngine(Engine):
+    """One generation of worker processes plus their queues."""
 
-    Same protocol and counters; additionally records match/send/
-    barrier spans into a per-process :class:`~repro.obs.trace
-    .FlightRecorder` drained over the control queue before every
-    barrier ``stats`` reply (FIFO order guarantees the coordinator has
-    a cycle's spans before it closes the cycle), stamps every outgoing
-    data message with a ``(sender, send_ts)`` context, and expects one
-    on everything it receives.
-    """
-    from ..obs.trace import (LIVE_BARRIER, LIVE_MATCH, LIVE_SEND,
-                             FlightRecorder)
-    core = MatchActorCore(actor_id, config)
-    recorder = FlightRecorder(actor_id, generation)
-    inbox = inboxes[actor_id]
-    cycle = 0
-    last_done = recorder.perf_base
-    try:
-        while True:
-            message = inbox.get()
-            kind = message[0]
-            now = time.perf_counter()
-            if kind == "shutdown":
-                control_q.put(recorder.drain())
-                return
-            if kind == "sync":
-                recorder.record(LIVE_BARRIER, cycle, last_done, now)
-                control_q.put(recorder.drain())
-                control_q.put(("stats", actor_id, core.on_sync()))
-                continue
-            if kind == "cycle":
-                cycle = message[2]
-                ctx = message[3]
-                out, processed = core.on_cycle(message[1])
-            else:  # "token"
-                ctx = message[2]
-                out, processed = core.on_token(message[1])
-            done = time.perf_counter()
-            recorder.record(
-                LIVE_MATCH, cycle, now, done, n=processed,
-                act_id=(message[1] if kind == "token" else -1),
-                src=ctx[0], sent_s=ctx[1], busy_us=core.busy_us)
-            if out:
-                for dst, msg in out:
-                    stamped = msg + ((actor_id, time.perf_counter()),)
-                    if dst == CONTROL:
-                        control_q.put(stamped)
-                    else:
-                        inboxes[dst].put(stamped)
-                recorder.record(LIVE_SEND, cycle, done,
-                                time.perf_counter(), n=len(out))
-            last_done = time.perf_counter()
-            if processed:
-                control_q.put(("processed", processed))
-    except Exception as err:  # surface instead of wedging control
+    def start(self) -> None:
+        ctx = _mp_context()
+        self.inboxes = [ctx.Queue() for _ in range(self.n_procs)]
+        self.control_q = ctx.Queue()
+        self.workers = [
+            ctx.Process(target=_actor_process,
+                        args=(i, self.config, self.chaos,
+                              self.generation, self.inboxes,
+                              self.control_q, self.collector is not None),
+                        daemon=True)
+            for i in range(self.n_procs)
+        ]
+        for worker in self.workers:
+            worker.start()
+
+    async def stop(self) -> None:
+        for inbox in self.inboxes:
+            inbox.put(("shutdown",))
+        deadline = time.perf_counter() + STOP_GRACE_S
+        for worker in self.workers:
+            # Keep reading control while waiting: a worker cannot exit
+            # before its feeder thread has flushed into the pipe.
+            while worker.is_alive() and time.perf_counter() < deadline:
+                self._salvage()
+                worker.join(0.01)
+            if worker.is_alive():
+                worker.kill()
+                worker.join()
+        self._salvage()
+        for q in self.inboxes + [self.control_q]:
+            q.close()
+            q.cancel_join_thread()
+
+    def _salvage(self) -> None:
+        """Drain the control queue, keeping flight-recorder drains."""
         try:
-            control_q.put(recorder.drain())
-        finally:
-            control_q.put(("actor_error", actor_id, repr(err)))
+            while True:
+                message = self.control_q.get_nowait()
+                if message[0] == "spans" and self.collector is not None:
+                    self.collector.add_drain(message)
+        except (queue_mod.Empty, EOFError, OSError):
+            pass
+
+    def kill(self, actor_id: int) -> None:
+        self.workers[actor_id].kill()
+
+    def dead_actor(self) -> Optional[int]:
+        for i, worker in enumerate(self.workers):
+            if not worker.is_alive():
+                return i
+        return None
+
+    def send(self, actor_id: int, message: Tuple) -> None:
+        self.inboxes[actor_id].put(message)
+
+    def poll(self):
+        try:
+            return self.control_q.get_nowait()
+        except queue_mod.Empty:
+            return None
+        except (EOFError, OSError) as err:
+            raise _broken(err) from err
+
+    async def wait(self, timeout: float):
+        try:
+            return self.control_q.get(timeout=timeout)
+        except queue_mod.Empty:
+            return None
+        except (EOFError, OSError) as err:
+            raise _broken(err) from err
 
 
-def _get_control(control_q):
-    timeout_s = exec_timeout_s(CONTROL_TIMEOUT_S)
-    try:
-        return control_q.get(timeout=timeout_s)
-    except queue_mod.Empty:
-        raise ExecutorWedged(
-            "actor run wedged: no control message for "
-            f"{timeout_s:g}s", waited_s=timeout_s) from None
+def _broken(err: Exception) -> ExecutorCrashed:
+    # A SIGKILLed worker can tear the queue's pipe mid-write; the whole
+    # queue set is discarded on restart.
+    return ExecutorCrashed(f"control queue broken: {err!r}")
 
 
 def run_section_mp(trace: SectionTrace, config: RunConfig,
+                   chaos: Optional[ChaosPolicy] = None,
                    collector: Optional["LiveTraceCollector"] = None,
                    ) -> Tuple[SimResult, List[FireSet], float]:
     """Run *trace* on one worker process per match actor.
 
-    With a :class:`~repro.obs.trace.LiveTraceCollector` the workers
-    run flight-recorded (:func:`_traced_actor_process`) and the
-    control loop merges their drains; with ``collector=None`` the
-    untraced loop runs unchanged.
+    ``(result, fires, wall_s)``, like
+    :func:`repro.exec.actors.run_section_async`, with the same
+    supervision, chaos and tracing options.
     """
-    plans = build_plans(trace, config)
-    n_procs = config.n_procs
-    ctx = _mp_context()
-    inboxes = [ctx.Queue() for _ in range(n_procs)]
-    control_q = ctx.Queue()
-    traced = collector is not None
-    if traced:
-        from ..obs.trace import LIVE_CYCLE
-    workers = [
-        ctx.Process(target=_actor_process,
-                    args=(i, config, inboxes, control_q, traced),
-                    daemon=True)
-        for i in range(n_procs)
-    ]
-    for worker in workers:
-        worker.start()
-
-    result = SimResult(trace_name=trace.name, n_procs=n_procs)
-    fires: List[FireSet] = []
-    section_start = time.perf_counter()
-    try:
-        for plan in plans:
-            cycle_start = time.perf_counter()
-            accumulator = CycleAccumulator(plan, config)
-            for i in range(n_procs):
-                if traced:
-                    inboxes[i].put(
-                        ("cycle", plan.per_actor[i], plan.index,
-                         (CONTROL, time.perf_counter())))
-                else:
-                    inboxes[i].put(("cycle", plan.per_actor[i]))
-            while not accumulator.done:
-                message = _get_control(control_q)
-                if message[0] == "actor_error":
-                    raise ExecutorCrashed(
-                        f"match actor {message[1]} failed: {message[2]}",
-                        actor=message[1], cycle=plan.index)
-                if traced and message[0] == "spans":
-                    collector.add_drain(message)
-                    continue
-                accumulator.note(message)
-            for i in range(n_procs):
-                inboxes[i].put(("sync",))
-            stats: List = [None] * n_procs
-            remaining = n_procs
-            while remaining:
-                message = _get_control(control_q)
-                if message[0] == "stats":
-                    stats[message[1]] = message[2]
-                    remaining -= 1
-                elif message[0] == "actor_error":
-                    raise ExecutorCrashed(
-                        f"match actor {message[1]} failed: {message[2]}",
-                        actor=message[1], cycle=plan.index)
-                elif traced and message[0] == "spans":
-                    collector.add_drain(message)
-                else:
-                    accumulator.note(message)
-            wall_s = time.perf_counter() - cycle_start
-            cycle_result, fired = accumulator.finish(stats, wall_s)
-            if traced:
-                collector.recorder.record(
-                    LIVE_CYCLE, plan.index, cycle_start,
-                    time.perf_counter(), n=cycle_result.n_messages)
-                collector.commit(plan.index, 0)
-            result.cycles.append(cycle_result)
-            fires.append(fired)
-    finally:
-        for i in range(n_procs):
-            inboxes[i].put(("shutdown",))
-        for worker in workers:
-            worker.join(timeout=10.0)
-            if worker.is_alive():
-                worker.terminate()
-                worker.join(timeout=10.0)
-        if traced:
-            # The workers flush a final (usually empty) drain on
-            # shutdown; collect what arrives promptly so dropped
-            # counters are complete, without risking a hang.
-            try:
-                while True:
-                    message = control_q.get(timeout=0.2)
-                    if message[0] == "spans":
-                        collector.add_drain(message)
-            except (queue_mod.Empty, EOFError, OSError):
-                pass
-        for q in inboxes + [control_q]:
-            q.close()
-    return result, fires, time.perf_counter() - section_start
+    return asyncio.run(run_engine(trace, config, chaos, collector,
+                                  _MpEngine))

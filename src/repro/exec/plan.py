@@ -31,37 +31,46 @@ free, exactly as in the paper and the simulator.
 
 Messages (plain tuples, picklable for the multiprocessing transport):
 
-====================  =============================  ==============
-message               direction                      counted?
-====================  =============================  ==============
-``("cycle", plan)``   control → every match actor    1 per cycle
-``("token", act)``    match actor → match actor      yes
-``("fire", act)``     match actor → control          yes
-``("processed", k)``  match actor → control          no (bookkeeping)
-``("sync",)``         control → every match actor    no (barrier)
-``("stats", i, s)``   match actor → control          no (barrier)
-``("shutdown",)``     control → every match actor    no
-====================  =============================  ==============
+===========================  ========================  ================
+message                      direction                 counted?
+===========================  ========================  ================
+``("cycle", plan, i)``       control → every actor     1 per cycle
+``("token", act, i)``        match actor → match actor yes
+``("fire", act)``            match actor → control     yes
+``("processed", k)``         match actor → control     no (bookkeeping)
+``("sync",)``                control → every actor     no (barrier)
+``("stats", actor, s)``      match actor → control     no (barrier)
+``("spans", ...)``           match actor → control     no (traced runs)
+``("actor_error", a, e)``    match actor → control     no (failure)
+``("shutdown",)``            control → every actor     no
+===========================  ========================  ================
+
+*i* is the cycle index.  It rides on ``token`` because a transport
+need not order messages from different senders: under
+:mod:`multiprocessing` each process flushes through its own feeder
+thread, so a peer's token for cycle *i* can reach an inbox before
+control's cycle-*i* broadcast.  :meth:`MatchActorCore.on_token`
+buffers such a token until the plan lands; a token for a cycle the
+core already closed raises :class:`~repro.exec.errors
+.ProtocolViolation`.
 
 When a run is live-traced (``RunConfig(live_trace=True)``, see
 :mod:`repro.obs.trace`), every *data* message additionally carries a
 span context ``(sender_id, send_perf_ts)`` appended as one trailing
-element: the cycle broadcast becomes ``("cycle", plan, index, ctx)``
-and token/fire messages become ``("token", act, ctx)`` / ``("fire",
-act, ctx)``.  One extra message flows per actor per barrier: a
-``("spans", ...)`` flight-recorder drain, sent *before* the ``stats``
-reply so FIFO ordering guarantees the coordinator holds a cycle's
-spans before it closes the cycle.  None of this changes what is
-counted: contexts ride on already-counted messages, ``spans`` is
+element: ``("cycle", plan, i, ctx)``, ``("token", act, i, ctx)`` and
+``("fire", act, ctx)``.  One extra message flows per actor per
+barrier: a ``("spans", ...)`` flight-recorder drain, sent *before* the
+``stats`` reply so FIFO ordering guarantees the coordinator holds a
+cycle's spans before it closes the cycle.  None of this changes what
+is counted: contexts ride on already-counted messages, ``spans`` is
 bookkeeping like ``stats``, and the cores never see either
-(:meth:`CycleAccumulator.note` tolerates the trailing context on
-``fire``; control loops intercept ``spans`` before calling it).
+(:meth:`CycleAccumulator.feed` routes every control-bound kind).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..mpc.config import RunConfig
 from ..mpc.mapping import RoundRobinMapping
@@ -69,7 +78,10 @@ from ..mpc.metrics import CycleResult
 from ..mpc.simulator import compute_search_costs
 from ..rete.hashing import BucketKey
 from ..trace.events import KIND_TERMINAL, LEFT, SectionTrace
-from .errors import ProtocolViolation
+from .errors import ExecutorCrashed, ProtocolViolation
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..obs.trace import LiveTraceCollector
 
 #: Destination id of the control actor in emitted ``(dst, msg)`` pairs.
 CONTROL = -1
@@ -207,20 +219,42 @@ class CycleAccumulator:
     the model.
     """
 
-    def __init__(self, plan: CyclePlan, config: RunConfig) -> None:
+    def __init__(self, plan: CyclePlan, config: RunConfig,
+                 collector: Optional["LiveTraceCollector"] = None) -> None:
         self._plan = plan
         self._send_us = config.overheads.send_us
         self._recv_us = config.overheads.recv_us
         self._latency_us = config.overheads.latency_us
+        self._collector = collector
         self.fires: List[int] = []
         self.processed = 0
+        #: Barrier replies by actor; :attr:`missing_stats` counts the
+        #: slots still empty.
+        self.stats: List = [None] * config.n_procs
+        self.missing_stats = config.n_procs
 
-    def note(self, message: Tuple) -> None:
-        """Feed one control-bound message (``fire`` or ``processed``)."""
-        if message[0] == "fire":
-            self.fires.append(message[1])
-        elif message[0] == "processed":
+    def feed(self, message: Tuple) -> None:
+        """Dispatch one message from the control queue.
+
+        ``fire`` and ``processed`` are the counted deliveries, ``stats``
+        fills its barrier slot, ``spans`` goes to the trace collector,
+        and ``actor_error`` raises
+        :class:`~repro.exec.errors.ExecutorCrashed`.
+        """
+        kind = message[0]
+        if kind == "processed":
             self.processed += message[1]
+        elif kind == "fire":
+            self.fires.append(message[1])
+        elif kind == "stats":
+            self.stats[message[1]] = message[2]
+            self.missing_stats -= 1
+        elif kind == "spans":
+            self._collector.add_drain(message)
+        elif kind == "actor_error":
+            raise ExecutorCrashed(
+                f"match actor {message[1]} failed: {message[2]}",
+                actor=message[1], cycle=self._plan.index)
         else:
             raise ValueError(f"unexpected control message {message!r}")
 
@@ -305,6 +339,11 @@ class MatchActorCore:
         self._send_us = config.overheads.send_us
         self._recv_us = config.overheads.recv_us
         self._acts: Dict[int, ActSpec] = {}
+        #: Index of the cycle whose plan has landed and not yet synced.
+        self._cycle: Optional[int] = None
+        self._closed: set = set()
+        #: Tokens that arrived before their cycle's plan, by cycle.
+        self._early: Dict[int, List[int]] = {}
         self._reset_counters()
 
     def _reset_counters(self) -> None:
@@ -316,9 +355,11 @@ class MatchActorCore:
         self.acts_sum = 0
         self.acts_xor = 0
 
-    def on_cycle(self, plan: ActorCyclePlan):
-        """Handle the cycle broadcast: constant tests, owned roots."""
+    def on_cycle(self, plan: ActorCyclePlan, cycle: int):
+        """Handle the cycle broadcast: constant tests, owned roots,
+        then any of this cycle's tokens that arrived ahead of it."""
         self._acts = plan.acts
+        self._cycle = cycle
         self.busy_us += self._recv_us + self._constant_tests_us
         out: List[Tuple[int, Tuple]] = []
         for act_id in plan.root_fires:
@@ -328,11 +369,25 @@ class MatchActorCore:
         processed = 0
         for act_id in plan.roots:
             processed += self._process(act_id, False, out)
+        for act_id in self._early.pop(cycle, ()):
+            processed += self._process(act_id, True, out)
         return out, processed
 
-    def on_token(self, act_id: int):
-        """Handle a cross-partition successor token message."""
+    def on_token(self, act_id: int, cycle: int):
+        """Handle a cross-partition successor token of *cycle*.
+
+        A token whose cycle plan has not landed yet is buffered for
+        :meth:`on_cycle`; one for a cycle this core already closed
+        raises :class:`~repro.exec.errors.ProtocolViolation`.
+        """
         out: List[Tuple[int, Tuple]] = []
+        if cycle != self._cycle:
+            if cycle in self._closed:
+                raise ProtocolViolation(
+                    f"actor {self.actor_id}: token {act_id} for closed "
+                    f"cycle {cycle}", cycle=cycle)
+            self._early.setdefault(cycle, []).append(act_id)
+            return out, 0
         processed = self._process(act_id, True, out)
         return out, processed
 
@@ -349,6 +404,8 @@ class MatchActorCore:
                  self.token_sends, self.control_sends,
                  self.acts_sum, self.acts_xor)
         self._acts = {}
+        self._closed.add(self._cycle)
+        self._cycle = None
         self._reset_counters()
         return stats
 
@@ -358,6 +415,7 @@ class MatchActorCore:
         processed = 0
         pending = [act_id]
         first_via_message = via_message
+        cycle = self._cycle
         while pending:
             current = pending.pop()
             is_left, extra_us, successors = self._acts[current]
@@ -381,7 +439,7 @@ class MatchActorCore:
                 else:
                     busy += self._send_us
                     self.token_sends += 1
-                    out.append((dest, ("token", succ_id)))
+                    out.append((dest, ("token", succ_id, cycle)))
             self.busy_us += busy
             processed += 1
         return processed

@@ -54,7 +54,6 @@ from ..trace.events import SectionTrace
 from .actors import _check_supported, run_section_async
 from .base import RunHandle, RunResult
 from .errors import SessionOverloaded, exec_timeout_s
-from .supervise import run_supervised_async
 
 _LOG = get_logger("repro.exec.served")
 
@@ -213,10 +212,7 @@ class SessionServer:
                 self._sessions_started += 1
                 get_registry().counter("served.sessions").inc()
                 try:
-                    if config.supervise is not None:
-                        value = await run_supervised_async(trace, config)
-                    else:
-                        value = await run_section_async(trace, config)
+                    value = await run_section_async(trace, config)
                 except BaseException:
                     self._sessions_failed += 1
                     get_registry().counter("served.failed").inc()

@@ -1,18 +1,18 @@
-"""Supervision for the live actor backends: heartbeats, deadlines,
-checkpoint-replay restarts.
+"""The live engine: one control loop and one actor body for every
+transport, with supervision as a restart policy.
 
-The unsupervised engines in :mod:`repro.exec.actors` and
-:mod:`repro.exec.mp` trust their workers: a dead or wedged partition
-actor stalls the control loop until a single coarse timeout fires, and
-then the run is simply lost.  This module wraps the same
-:class:`~repro.exec.plan.MatchActorCore` protocol in a supervisor with
-three defenses, configured by
+A live run of the Section 3.2 protocol is a sequence of cycle
+*attempts* on an :class:`Engine` — one generation of match actors and
+their queues on one transport (asyncio tasks in
+:mod:`repro.exec.actors`, worker processes in :mod:`repro.exec.mp`).
+:func:`run_engine` drives every run, supervised or not;
 :class:`~repro.mpc.config.SupervisePolicy` on the
-:class:`~repro.mpc.config.RunConfig`:
+:class:`~repro.mpc.config.RunConfig` only sets how it reacts to a
+failed attempt:
 
 heartbeats
     Every wait on the control queue is chopped into
-    ``heartbeat_s``-sized slices; between slices the supervisor checks
+    ``heartbeat_s``-sized slices; between slices the engine checks
     worker liveness, so a killed worker is noticed within one
     heartbeat instead of one full deadline.
 per-cycle deadlines
@@ -25,48 +25,57 @@ checkpoint-replay restart
     The cycle-index barrier *is* the checkpoint: match-actor cores
     carry no state across cycles (the sync barrier resets them), and
     every :class:`~repro.exec.plan.CyclePlan` is precomputed.  On a
-    wedge, crash or protocol violation the supervisor tears down every
-    worker and queue, respawns fresh ones after an exponential-backoff
-    pause, and re-broadcasts the failed cycle's plan — a bit-identical
-    replay.  Completed cycles are never re-run; after
+    wedge, crash or protocol violation :func:`run_engine` tears down
+    every worker and queue, respawns fresh ones after an
+    exponential-backoff pause, and re-broadcasts the failed cycle's
+    plan — a bit-identical replay.  Completed cycles are never re-run; after
     ``max_restarts`` failed replays of one cycle the run raises
     :class:`~repro.exec.errors.RestartsExhausted` carrying the last
     typed failure.
 
+``config.supervise = None`` is the same engine with a restart budget
+of 0, the default heartbeat and the :func:`~repro.exec.errors
+.exec_timeout_s` deadline: the first typed failure propagates as is.
+
 Failures are *detected by counting*, never guessed: a dropped data
 message starves the processed/fires targets (wedge), a duplicated one
 breaks the plan's exact-count validation
-(:class:`~repro.exec.errors.ProtocolViolation`), a late one hits a
-cleared actor table and surfaces as an ``actor_error``
+(:class:`~repro.exec.errors.ProtocolViolation`), a late one for a
+closed cycle surfaces as an ``actor_error``
 (:class:`~repro.exec.errors.ExecutorCrashed`).  The supervised
 contract — relied on by the ``live_recovery`` oracle in
 :mod:`repro.check` — is therefore: the sim-identical result, or a
 typed :class:`~repro.exec.errors.ExecutorError`; never a silent wrong
 answer, never an unbounded hang.
 
-Chaos (:class:`~repro.exec.chaos.ChaosPolicy`) plugs in at two seams:
-the supervisor kills workers at cycle starts, and the workers
-themselves drop/duplicate/delay their outgoing data messages and stall
-their event loops, all with counter-based deterministic draws.
+Two hooks are ``None`` unless asked for.  Live tracing (a
+:class:`~repro.obs.trace.LiveTraceCollector`) gives every actor a
+:class:`~repro.obs.trace.FlightRecorder` and stamps data messages with
+a span context.  Chaos (:class:`~repro.exec.chaos.ChaosPolicy`) kills
+workers at cycle starts, and makes the workers drop/duplicate/delay
+their outgoing data messages and stall, all with counter-based
+deterministic draws.
 """
 
 from __future__ import annotations
 
 import asyncio
-import queue as queue_mod
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..mpc.config import RunConfig, SupervisePolicy
 from ..mpc.metrics import SimResult
 from ..obs import get_logger, get_registry, log_event
+from ..obs.trace import (LIVE_BARRIER, LIVE_CYCLE, LIVE_MATCH,
+                         LIVE_REPLAY, LIVE_RESTART, LIVE_SEND,
+                         FlightRecorder)
 from ..trace.events import SectionTrace
 from .base import FireSet
 from .chaos import MSG_FIRE, MSG_TOKEN, ChaosPolicy
 from .errors import (ExecutorCrashed, ExecutorWedged, ProtocolViolation,
                      RestartsExhausted, exec_timeout_s)
-from .plan import (CONTROL, CycleAccumulator, CyclePlan, MatchActorCore,
-                   build_plans)
+from .plan import CONTROL, CycleAccumulator, CyclePlan, MatchActorCore, \
+    build_plans
 
 _LOG = get_logger("repro.exec.supervise")
 
@@ -79,19 +88,6 @@ _FAILURE_COUNTERS = {
     ExecutorCrashed: "supervise.crashes",
     ProtocolViolation: "supervise.violations",
 }
-
-
-def _effective(config: RunConfig,
-               chaos: Optional[ChaosPolicy]
-               ) -> Tuple[SupervisePolicy, Optional[ChaosPolicy], float]:
-    """Resolve ``(policy, chaos-or-None, per-cycle deadline seconds)``."""
-    policy = config.supervise or SupervisePolicy()
-    if chaos is not None and chaos.is_null:
-        chaos = None
-    deadline_s = (policy.cycle_timeout_s
-                  if policy.cycle_timeout_s is not None
-                  else exec_timeout_s())
-    return policy, chaos, deadline_s
 
 
 def _count_failure(err: Exception) -> None:
@@ -120,182 +116,206 @@ def _log_restart(plan: CyclePlan, attempt: int, generation: int,
               cause=type(err).__name__)
 
 
-# ---------------------------------------------------------------------------
-# asyncio transport
-# ---------------------------------------------------------------------------
+class ActorRunner:
+    """One match actor's message handling, shared by both transports.
 
-
-class _AsyncEngine:
-    """One generation of asyncio match actors plus their queues.
-
-    A restart discards the whole engine — tasks, inboxes, control
-    queue — so stale messages from a failed attempt (late chaos
-    deliveries, half-processed cycles) can never leak into the replay.
+    Wraps a :class:`~repro.exec.plan.MatchActorCore` with the two
+    optional hooks — a flight recorder when *traced*, a chaos policy —
+    and sends through *puts*, one put function per destination indexed
+    by actor id with the control queue last (so ``puts[CONTROL]`` is
+    control).  *put_later(delay, put, msg)* is how the transport
+    delivers a chaos-delayed message.  The transport owns the inbox
+    loop: it calls :meth:`stall_for` (chaos only) and then
+    :meth:`handle` for every message.
     """
 
-    def __init__(self, config: RunConfig,
-                 chaos: Optional[ChaosPolicy], generation: int,
-                 collector=None) -> None:
+    def __init__(self, actor_id: int, config: RunConfig,
+                 generation: int, chaos: Optional[ChaosPolicy],
+                 traced: bool, puts: Sequence[Callable],
+                 put_later: Callable) -> None:
+        self.actor_id = actor_id
+        self.core = MatchActorCore(actor_id, config)
+        self.generation = generation
+        self.chaos = chaos
+        self._puts = puts
+        self._to_control = puts[CONTROL]
+        self._put_later = put_later
+        self._cycle = 0
+        self.recorder = None
+        if traced:
+            self.recorder = FlightRecorder(actor_id, generation)
+            self._last_done = self.recorder.perf_base
+
+    def stall_for(self, message: Tuple) -> float:
+        """Seconds of chaos stall before handling *message*."""
+        if message[0] != "cycle":
+            return 0.0
+        stall = self.chaos.stall_for(message[2], self.actor_id,
+                                     self.generation)
+        if stall > 0.0:
+            get_registry().counter("chaos.stalls").inc()
+        return stall
+
+    def handle(self, message: Tuple) -> bool:
+        """Process one inbox message; ``False`` once told to shut down."""
+        kind = message[0]
+        recorder = self.recorder
+        if recorder is not None:
+            now = time.perf_counter()
+        if kind == "token" or kind == "cycle":
+            cycle = self._cycle = message[2]
+            if kind == "token":
+                out, processed = self.core.on_token(message[1], cycle)
+            else:
+                out, processed = self.core.on_cycle(message[1], cycle)
+            if recorder is not None:
+                self._record(message, now, out, processed)
+            elif self.chaos is not None:
+                for dst, msg in out:
+                    self._send(cycle, dst, msg)
+            else:
+                puts = self._puts
+                for dst, msg in out:
+                    puts[dst](msg)
+            if processed:
+                self._to_control(("processed", processed))
+            return True
+        if kind == "sync":
+            if recorder is not None:
+                recorder.record(LIVE_BARRIER, self._cycle,
+                                self._last_done, now)
+                self._to_control(recorder.drain())
+            self._to_control(("stats", self.actor_id,
+                              self.core.on_sync()))
+            return True
+        self.flush()  # "shutdown"
+        return False
+
+    def _record(self, message: Tuple, now: float, out: List,
+                processed: int) -> None:
+        """Traced tail of :meth:`handle`: match span, stamped sends."""
+        recorder = self.recorder
+        cycle = self._cycle
+        ctx = message[3]
+        done = time.perf_counter()
+        recorder.record(
+            LIVE_MATCH, cycle, now, done, n=processed,
+            act_id=(message[1] if message[0] == "token" else -1),
+            src=ctx[0], sent_s=ctx[1], busy_us=self.core.busy_us)
+        if out:
+            for dst, msg in out:
+                self._send(cycle, dst,
+                           msg + ((self.actor_id, time.perf_counter()),))
+            recorder.record(LIVE_SEND, cycle, done, time.perf_counter(),
+                            n=len(out))
+        self._last_done = time.perf_counter()
+
+    def _send(self, cycle: int, dst: int, msg: Tuple) -> None:
+        put = self._puts[dst]
+        chaos = self.chaos
+        if chaos is None:
+            put(msg)
+            return
+        kind = MSG_FIRE if msg[0] == "fire" else MSG_TOKEN
+        act_id, generation = msg[1], self.generation
+        if chaos.should_drop(cycle, kind, act_id, generation):
+            get_registry().counter("chaos.drops").inc()
+            return
+        copies = 1
+        if chaos.should_duplicate(cycle, kind, act_id, generation):
+            get_registry().counter("chaos.dups").inc()
+            copies = 2
+        delay = chaos.delay_for(cycle, kind, act_id, generation)
+        if delay > 0.0:
+            get_registry().counter("chaos.delays").inc()
+        for _ in range(copies):
+            if delay > 0.0:
+                self._put_later(delay, put, msg)
+            else:
+                put(msg)
+
+    def flush(self) -> None:
+        """Ship what the flight recorder holds (traced runs only)."""
+        if self.recorder is not None:
+            self._to_control(self.recorder.drain())
+
+    def fail(self, err: Exception) -> None:
+        """Report a failure to control instead of hanging it."""
+        try:
+            self.flush()
+        finally:
+            self._to_control(("actor_error", self.actor_id, repr(err)))
+
+
+class Engine:
+    """One generation of match actors plus their queues.
+
+    A restart discards the whole engine — workers, inboxes, control
+    queue — so stale messages from a failed attempt (late chaos
+    deliveries, half-processed cycles) can never leak into the replay.
+    Transports implement :meth:`start`, :meth:`stop`, :meth:`kill`,
+    :meth:`dead_actor`, :meth:`send` (control to one actor),
+    :meth:`poll` and :meth:`wait` (read the control queue without and
+    with blocking); the cycle protocol itself is
+    :meth:`run_cycle`, shared.
+    """
+
+    def __init__(self, config: RunConfig, chaos: Optional[ChaosPolicy],
+                 generation: int, collector, deadline_s: float,
+                 heartbeat_s: float) -> None:
         self.config = config
         self.chaos = chaos
         self.generation = generation
         self.collector = collector
+        self.deadline_s = deadline_s
+        self.heartbeat_s = heartbeat_s
         self.n_procs = config.n_procs
-        self.inboxes: List[asyncio.Queue] = []
-        self.control_q: asyncio.Queue = asyncio.Queue()
-        self.tasks: List[asyncio.Task] = []
-        self._getter: Optional[asyncio.Task] = None
 
     def start(self) -> None:
-        self.inboxes = [asyncio.Queue() for _ in range(self.n_procs)]
-        self.control_q = asyncio.Queue()
-        self.tasks = [asyncio.create_task(self._actor_main(i))
-                      for i in range(self.n_procs)]
+        raise NotImplementedError
 
     async def stop(self) -> None:
-        if self._getter is not None:
-            self._getter.cancel()
-            self._getter = None
-        for task in self.tasks:
-            task.cancel()
-        if self.tasks:
-            await asyncio.gather(*self.tasks, return_exceptions=True)
-        self.tasks = []
-        if self.collector is not None:
-            # Salvage flight-recorder drains the dying generation
-            # flushed on cancellation — filtered from the committed
-            # timeline, but gold for post-mortem dumps.
-            while not self.control_q.empty():
-                message = self.control_q.get_nowait()
-                if message[0] == "spans":
-                    self.collector.add_drain(message)
+        raise NotImplementedError
 
     def kill(self, actor_id: int) -> None:
-        self.tasks[actor_id].cancel()
+        raise NotImplementedError
 
     def dead_actor(self) -> Optional[int]:
-        for i, task in enumerate(self.tasks):
-            if task.done():
-                return i
-        return None
+        raise NotImplementedError
 
-    def _deliver(self, cycle: int, dst: int, msg: Tuple) -> None:
-        target = self.control_q if dst == CONTROL else self.inboxes[dst]
-        chaos = self.chaos
-        if chaos is not None and msg[0] in ("token", "fire"):
-            kind = MSG_FIRE if msg[0] == "fire" else MSG_TOKEN
-            act_id = msg[1]
-            if chaos.should_drop(cycle, kind, act_id, self.generation):
-                get_registry().counter("chaos.drops").inc()
-                return
-            copies = 1
-            if chaos.should_duplicate(cycle, kind, act_id,
-                                      self.generation):
-                get_registry().counter("chaos.dups").inc()
-                copies = 2
-            delay = chaos.delay_for(cycle, kind, act_id, self.generation)
-            if delay > 0.0:
-                get_registry().counter("chaos.delays").inc()
-                loop = asyncio.get_running_loop()
-                for _ in range(copies):
-                    loop.call_later(delay, target.put_nowait, msg)
-                return
-            for _ in range(copies):
-                target.put_nowait(msg)
-            return
-        target.put_nowait(msg)
+    def send(self, actor_id: int, message: Tuple) -> None:
+        raise NotImplementedError
 
-    async def _actor_main(self, actor_id: int) -> None:
-        traced = self.collector is not None
-        if traced:
-            from ..obs.trace import (LIVE_BARRIER, LIVE_MATCH,
-                                     LIVE_SEND, FlightRecorder)
-            recorder = FlightRecorder(actor_id, self.generation)
-            last_done = recorder.perf_base
-        core = MatchActorCore(actor_id, self.config)
-        inbox = self.inboxes[actor_id]
-        cycle = 0
-        try:
-            while True:
-                message = await inbox.get()
-                kind = message[0]
-                now = time.perf_counter()
-                if kind == "shutdown":
-                    if traced:
-                        self.control_q.put_nowait(recorder.drain())
-                    return
-                if kind == "sync":
-                    if traced:
-                        recorder.record(LIVE_BARRIER, cycle,
-                                        last_done, now)
-                        self.control_q.put_nowait(recorder.drain())
-                    self.control_q.put_nowait(("stats", actor_id,
-                                               core.on_sync()))
-                    continue
-                if kind == "cycle":
-                    cycle = message[2]
-                    if self.chaos is not None:
-                        stall = self.chaos.stall_for(cycle, actor_id,
-                                                     self.generation)
-                        if stall > 0.0:
-                            get_registry().counter("chaos.stalls").inc()
-                            await asyncio.sleep(stall)
-                            now = time.perf_counter()
-                    out, processed = core.on_cycle(message[1])
-                else:  # "token"
-                    out, processed = core.on_token(message[1])
-                if traced:
-                    ctx = message[3] if kind == "cycle" else message[2]
-                    done = time.perf_counter()
-                    recorder.record(
-                        LIVE_MATCH, cycle, now, done, n=processed,
-                        act_id=(message[1] if kind == "token" else -1),
-                        src=ctx[0], sent_s=ctx[1],
-                        busy_us=core.busy_us)
-                    if out:
-                        for dst, msg in out:
-                            self._deliver(
-                                cycle, dst,
-                                msg + ((actor_id,
-                                        time.perf_counter()),))
-                        recorder.record(LIVE_SEND, cycle, done,
-                                        time.perf_counter(),
-                                        n=len(out))
-                    last_done = time.perf_counter()
-                else:
-                    for dst, msg in out:
-                        self._deliver(cycle, dst, msg)
-                if processed:
-                    self.control_q.put_nowait(("processed", processed))
-        except asyncio.CancelledError:
-            if traced:
-                self.control_q.put_nowait(recorder.drain())
-            raise
-        except Exception as err:  # surface instead of hanging control
-            if traced:
-                self.control_q.put_nowait(recorder.drain())
-            self.control_q.put_nowait(("actor_error", actor_id,
-                                       repr(err)))
+    def poll(self):
+        """The next control message if one is queued, else ``None``."""
+        raise NotImplementedError
 
-    async def _get_control(self, cycle: int, cycle_start: float,
-                           deadline_s: float, heartbeat_s: float):
-        """Next control message, or a typed failure: heartbeat-sliced
-        wait with dead-worker checks and the per-cycle deadline."""
-        if self._getter is None:
-            self._getter = asyncio.ensure_future(self.control_q.get())
+    async def wait(self, timeout: float):
+        """The next control message, or ``None`` after *timeout* s."""
+        raise NotImplementedError
+
+    def _wedged(self, cycle: int, start: float) -> ExecutorWedged:
+        waited = time.perf_counter() - start
+        return ExecutorWedged(
+            f"cycle {cycle}: no quiescence progress for {waited:.3f}s",
+            cycle=cycle, waited_s=waited)
+
+    def _take(self, cycle: int, start: float):
+        """A queued control message or ``None``; the deadline is
+        checked on every message."""
+        if time.perf_counter() - start >= self.deadline_s:
+            raise self._wedged(cycle, start)
+        return self.poll()
+
+    async def _wait(self, cycle: int, start: float):
+        """Block for the next control message in heartbeat slices,
+        checking for dead workers after each empty slice."""
         while True:
-            waited = time.perf_counter() - cycle_start
-            if waited >= deadline_s:
-                raise ExecutorWedged(
-                    f"cycle {cycle}: no quiescence progress for "
-                    f"{waited:.3f}s", cycle=cycle, waited_s=waited)
-            timeout = min(heartbeat_s, deadline_s - waited)
-            done, _ = await asyncio.wait({self._getter},
-                                         timeout=timeout)
-            if self._getter in done:
-                message = self._getter.result()
-                self._getter = asyncio.ensure_future(
-                    self.control_q.get())
+            left = self.deadline_s - (time.perf_counter() - start)
+            if left <= 0.0:
+                raise self._wedged(cycle, start)
+            message = await self.wait(min(self.heartbeat_s, left))
+            if message is not None:
                 return message
             dead = self.dead_actor()
             if dead is not None:
@@ -303,73 +323,42 @@ class _AsyncEngine:
                     f"match actor {dead} died during cycle {cycle}",
                     actor=dead, cycle=cycle)
 
-    async def run_cycle(self, plan: CyclePlan, attempt: int,
-                        deadline_s: float, heartbeat_s: float):
+    async def run_cycle(self, plan: CyclePlan, attempt: int):
         """One attempt at *plan*; ``(CycleResult, fired)`` or a typed
         :class:`~repro.exec.errors.ExecutorError`."""
-        cycle_start = time.perf_counter()
-        accumulator = CycleAccumulator(plan, self.config)
+        cycle, start = plan.index, time.perf_counter()
+        accumulator = CycleAccumulator(plan, self.config, self.collector)
         if self.chaos is not None:
             for i in range(self.n_procs):
-                if self.chaos.should_kill(plan.index, i, attempt):
+                if self.chaos.should_kill(cycle, i, attempt):
                     get_registry().counter("chaos.kills").inc()
-                    log_event(_LOG, "chaos.kill", cycle=plan.index,
-                              actor=i, attempt=attempt)
+                    log_event(_LOG, "chaos.kill", cycle=cycle, actor=i,
+                              attempt=attempt)
                     self.kill(i)
         traced = self.collector is not None
-        for i in range(self.n_procs):
+        for i, share in enumerate(plan.per_actor):
+            message = ("cycle", share, cycle)
             if traced:
-                self.inboxes[i].put_nowait(
-                    ("cycle", plan.per_actor[i], plan.index,
-                     (CONTROL, time.perf_counter())))
-            else:
-                self.inboxes[i].put_nowait(
-                    ("cycle", plan.per_actor[i], plan.index))
+                message += ((CONTROL, time.perf_counter()),)
+            self.send(i, message)
+        feed, take, wait = accumulator.feed, self._take, self._wait
         while not accumulator.done:
-            message = await self._get_control(
-                plan.index, cycle_start, deadline_s, heartbeat_s)
-            if message[0] == "actor_error":
-                raise ExecutorCrashed(
-                    f"match actor {message[1]} failed: {message[2]}",
-                    actor=message[1], cycle=plan.index)
-            if traced and message[0] == "spans":
-                self.collector.add_drain(message)
-                continue
-            accumulator.note(message)
+            feed(take(cycle, start) or await wait(cycle, start))
         for i in range(self.n_procs):
-            self.inboxes[i].put_nowait(("sync",))
-        stats: List = [None] * self.n_procs
-        remaining = self.n_procs
-        while remaining:
-            message = await self._get_control(
-                plan.index, cycle_start, deadline_s, heartbeat_s)
-            if message[0] == "stats":
-                stats[message[1]] = message[2]
-                remaining -= 1
-            elif message[0] == "actor_error":
-                raise ExecutorCrashed(
-                    f"match actor {message[1]} failed: {message[2]}",
-                    actor=message[1], cycle=plan.index)
-            elif traced and message[0] == "spans":
-                self.collector.add_drain(message)
-            else:
-                accumulator.note(message)
-        wall_s = time.perf_counter() - cycle_start
-        return accumulator.finish(stats, wall_s)
+            self.send(i, ("sync",))
+        while accumulator.missing_stats:
+            feed(take(cycle, start) or await wait(cycle, start))
+        return accumulator.finish(accumulator.stats,
+                                  time.perf_counter() - start)
 
 
-async def run_supervised_async(trace: SectionTrace, config: RunConfig,
-                               chaos: Optional[ChaosPolicy] = None,
-                               collector=None
-                               ) -> Tuple[SimResult, List[FireSet],
-                                          float]:
-    """Run *trace* on supervised asyncio actors.
+async def run_engine(trace: SectionTrace, config: RunConfig,
+                     chaos: Optional[ChaosPolicy], collector,
+                     engine_cls) -> Tuple[SimResult, List[FireSet], float]:
+    """Run *trace* cycle by cycle on *engine_cls*; ``(result, fires,
+    wall_s)``.
 
-    Same counters and fire sets as
-    :func:`repro.exec.actors.run_section_async` (bit-identical with no
-    chaos and no failures), plus heartbeat monitoring, per-cycle
-    deadlines and checkpoint-replay restarts per
-    ``config.supervise``.  A
+    Supervision per ``config.supervise`` (``None``: no restarts).  A
     :class:`~repro.obs.trace.LiveTraceCollector` additionally records
     the committed cycle spans plus ``restart`` (failure → respawned
     engine) and ``checkpoint_replay`` (failed replay attempt) spans on
@@ -378,13 +367,23 @@ async def run_supervised_async(trace: SectionTrace, config: RunConfig,
     from the merged timeline.
     """
     plans = build_plans(trace, config)
-    policy, chaos, deadline_s = _effective(config, chaos)
+    # Without a policy the defaults set the heartbeat and deadline, and
+    # the first failure propagates before any restart is considered.
+    policy = config.supervise or SupervisePolicy()
+    if chaos is not None and chaos.is_null:
+        chaos = None
+    deadline_s = (policy.cycle_timeout_s
+                  if policy.cycle_timeout_s is not None
+                  else exec_timeout_s())
     traced = collector is not None
-    if traced:
-        from ..obs.trace import LIVE_CYCLE, LIVE_REPLAY, LIVE_RESTART
-    generation = 0
-    engine = _AsyncEngine(config, chaos, generation, collector)
-    engine.start()
+
+    def spawn(generation: int) -> Engine:
+        engine = engine_cls(config, chaos, generation, collector,
+                            deadline_s, policy.heartbeat_s)
+        engine.start()
+        return engine
+
+    engine = spawn(0)
     result = SimResult(trace_name=trace.name, n_procs=config.n_procs)
     fires: List[FireSet] = []
     section_start = time.perf_counter()
@@ -395,15 +394,17 @@ async def run_supervised_async(trace: SectionTrace, config: RunConfig,
                 attempt_start = time.perf_counter()
                 try:
                     cycle_result, fired = await engine.run_cycle(
-                        plan, attempt, deadline_s, policy.heartbeat_s)
+                        plan, attempt)
                     if traced:
                         collector.recorder.record(
                             LIVE_CYCLE, plan.index, attempt_start,
                             time.perf_counter(),
                             n=cycle_result.n_messages)
-                        collector.commit(plan.index, generation)
+                        collector.commit(plan.index, engine.generation)
                     break
                 except RETRYABLE as err:
+                    if config.supervise is None:
+                        raise
                     _count_failure(err)
                     failed_at = time.perf_counter()
                     if traced and attempt:
@@ -412,16 +413,15 @@ async def run_supervised_async(trace: SectionTrace, config: RunConfig,
                             failed_at, n=attempt)
                     if attempt >= policy.max_restarts:
                         raise _give_up(plan, attempt, err) from err
+                    generation = engine.generation + 1
                     await engine.stop()
+                    engine = None
                     delay = policy.delay_s(attempt)
                     if delay > 0.0:
                         await asyncio.sleep(delay)
                     attempt += 1
-                    generation += 1
                     _log_restart(plan, attempt, generation, err)
-                    engine = _AsyncEngine(config, chaos, generation,
-                                          collector)
-                    engine.start()
+                    engine = spawn(generation)
                     if traced:
                         collector.recorder.record(
                             LIVE_RESTART, plan.index, failed_at,
@@ -429,297 +429,6 @@ async def run_supervised_async(trace: SectionTrace, config: RunConfig,
             result.cycles.append(cycle_result)
             fires.append(fired)
     finally:
-        await engine.stop()
-    return result, fires, time.perf_counter() - section_start
-
-
-# ---------------------------------------------------------------------------
-# multiprocessing transport
-# ---------------------------------------------------------------------------
-
-
-def _supervised_actor_process(actor_id: int, config: RunConfig,
-                              chaos: Optional[ChaosPolicy],
-                              generation: int, inboxes,
-                              control_q, traced: bool = False) -> None:
-    """Child-process main loop with chaos applied to outgoing data."""
-    if traced:
-        from ..obs.trace import (LIVE_BARRIER, LIVE_MATCH, LIVE_SEND,
-                                 FlightRecorder)
-        recorder = FlightRecorder(actor_id, generation)
-        last_done = recorder.perf_base
-    core = MatchActorCore(actor_id, config)
-    inbox = inboxes[actor_id]
-
-    def deliver(cycle: int, dst: int, msg: Tuple) -> None:
-        target = control_q if dst == CONTROL else inboxes[dst]
-        if chaos is not None and msg[0] in ("token", "fire"):
-            kind = MSG_FIRE if msg[0] == "fire" else MSG_TOKEN
-            act_id = msg[1]
-            if chaos.should_drop(cycle, kind, act_id, generation):
-                return
-            delay = chaos.delay_for(cycle, kind, act_id, generation)
-            if delay > 0.0:
-                time.sleep(delay)
-            target.put(msg)
-            if chaos.should_duplicate(cycle, kind, act_id, generation):
-                target.put(msg)
-            return
-        target.put(msg)
-
-    cycle = 0
-    try:
-        while True:
-            message = inbox.get()
-            kind = message[0]
-            now = time.perf_counter()
-            if kind == "shutdown":
-                if traced:
-                    control_q.put(recorder.drain())
-                return
-            if kind == "sync":
-                if traced:
-                    recorder.record(LIVE_BARRIER, cycle, last_done,
-                                    now)
-                    control_q.put(recorder.drain())
-                control_q.put(("stats", actor_id, core.on_sync()))
-                continue
-            if kind == "cycle":
-                cycle = message[2]
-                if chaos is not None:
-                    stall = chaos.stall_for(cycle, actor_id, generation)
-                    if stall > 0.0:
-                        time.sleep(stall)
-                        now = time.perf_counter()
-                out, processed = core.on_cycle(message[1])
-            else:  # "token"
-                out, processed = core.on_token(message[1])
-            if traced:
-                ctx = message[3] if kind == "cycle" else message[2]
-                done = time.perf_counter()
-                recorder.record(
-                    LIVE_MATCH, cycle, now, done, n=processed,
-                    act_id=(message[1] if kind == "token" else -1),
-                    src=ctx[0], sent_s=ctx[1], busy_us=core.busy_us)
-                if out:
-                    for dst, msg in out:
-                        deliver(cycle, dst,
-                                msg + ((actor_id,
-                                        time.perf_counter()),))
-                    recorder.record(LIVE_SEND, cycle, done,
-                                    time.perf_counter(), n=len(out))
-                last_done = time.perf_counter()
-            else:
-                for dst, msg in out:
-                    deliver(cycle, dst, msg)
-            if processed:
-                control_q.put(("processed", processed))
-    except Exception as err:  # surface instead of wedging control
-        if traced:
-            control_q.put(recorder.drain())
-        control_q.put(("actor_error", actor_id, repr(err)))
-
-
-class _MpEngine:
-    """One generation of worker processes plus their queues."""
-
-    def __init__(self, config: RunConfig,
-                 chaos: Optional[ChaosPolicy], generation: int,
-                 collector=None) -> None:
-        from .mp import _mp_context
-        self.config = config
-        self.chaos = chaos
-        self.generation = generation
-        self.collector = collector
-        self.n_procs = config.n_procs
-        self._ctx = _mp_context()
-        self.inboxes: list = []
-        self.control_q = None
-        self.workers: list = []
-
-    def start(self) -> None:
-        ctx = self._ctx
-        self.inboxes = [ctx.Queue() for _ in range(self.n_procs)]
-        self.control_q = ctx.Queue()
-        self.workers = [
-            ctx.Process(target=_supervised_actor_process,
-                        args=(i, self.config, self.chaos,
-                              self.generation, self.inboxes,
-                              self.control_q,
-                              self.collector is not None),
-                        daemon=True)
-            for i in range(self.n_procs)
-        ]
-        for worker in self.workers:
-            worker.start()
-
-    def stop(self) -> None:
-        for worker in self.workers:
-            if worker.is_alive():
-                worker.terminate()
-        for worker in self.workers:
-            worker.join(timeout=5.0)
-            if worker.is_alive():
-                worker.kill()
-                worker.join(timeout=5.0)
-        self.workers = []
-        for q in self.inboxes + ([self.control_q]
-                                 if self.control_q is not None else []):
-            q.close()
-            q.cancel_join_thread()
-        self.inboxes = []
-        self.control_q = None
-
-    def kill(self, actor_id: int) -> None:
-        self.workers[actor_id].kill()
-
-    def dead_actor(self) -> Optional[int]:
-        for i, worker in enumerate(self.workers):
-            if not worker.is_alive():
-                return i
-        return None
-
-    def _get_control(self, cycle: int, cycle_start: float,
-                     deadline_s: float, heartbeat_s: float):
-        while True:
-            waited = time.perf_counter() - cycle_start
-            if waited >= deadline_s:
-                raise ExecutorWedged(
-                    f"cycle {cycle}: no quiescence progress for "
-                    f"{waited:.3f}s", cycle=cycle, waited_s=waited)
-            timeout = min(heartbeat_s, deadline_s - waited)
-            try:
-                return self.control_q.get(timeout=timeout)
-            except queue_mod.Empty:
-                pass
-            except (EOFError, OSError) as err:
-                # A SIGKILLed worker can tear the queue's pipe
-                # mid-write; the whole queue set is discarded on
-                # restart, so surface it as a crash.
-                raise ExecutorCrashed(
-                    f"control queue broken during cycle {cycle}: "
-                    f"{err!r}", cycle=cycle) from err
-            dead = self.dead_actor()
-            if dead is not None:
-                raise ExecutorCrashed(
-                    f"match actor {dead} died during cycle {cycle}",
-                    actor=dead, cycle=cycle)
-
-    def run_cycle(self, plan: CyclePlan, attempt: int,
-                  deadline_s: float, heartbeat_s: float):
-        cycle_start = time.perf_counter()
-        accumulator = CycleAccumulator(plan, self.config)
-        if self.chaos is not None:
-            for i in range(self.n_procs):
-                if self.chaos.should_kill(plan.index, i, attempt):
-                    get_registry().counter("chaos.kills").inc()
-                    log_event(_LOG, "chaos.kill", cycle=plan.index,
-                              actor=i, attempt=attempt)
-                    self.kill(i)
-        traced = self.collector is not None
-        for i in range(self.n_procs):
-            if traced:
-                self.inboxes[i].put(
-                    ("cycle", plan.per_actor[i], plan.index,
-                     (CONTROL, time.perf_counter())))
-            else:
-                self.inboxes[i].put(("cycle", plan.per_actor[i],
-                                     plan.index))
-        while not accumulator.done:
-            message = self._get_control(plan.index, cycle_start,
-                                        deadline_s, heartbeat_s)
-            if message[0] == "actor_error":
-                raise ExecutorCrashed(
-                    f"match actor {message[1]} failed: {message[2]}",
-                    actor=message[1], cycle=plan.index)
-            if traced and message[0] == "spans":
-                self.collector.add_drain(message)
-                continue
-            accumulator.note(message)
-        for i in range(self.n_procs):
-            self.inboxes[i].put(("sync",))
-        stats: List = [None] * self.n_procs
-        remaining = self.n_procs
-        while remaining:
-            message = self._get_control(plan.index, cycle_start,
-                                        deadline_s, heartbeat_s)
-            if message[0] == "stats":
-                stats[message[1]] = message[2]
-                remaining -= 1
-            elif message[0] == "actor_error":
-                raise ExecutorCrashed(
-                    f"match actor {message[1]} failed: {message[2]}",
-                    actor=message[1], cycle=plan.index)
-            elif traced and message[0] == "spans":
-                self.collector.add_drain(message)
-            else:
-                accumulator.note(message)
-        wall_s = time.perf_counter() - cycle_start
-        return accumulator.finish(stats, wall_s)
-
-
-def run_supervised_mp(trace: SectionTrace, config: RunConfig,
-                      chaos: Optional[ChaosPolicy] = None,
-                      collector=None
-                      ) -> Tuple[SimResult, List[FireSet], float]:
-    """Run *trace* on supervised worker processes.
-
-    The process-transport twin of :func:`run_supervised_async`: same
-    protocol, same counters, with real OS processes killed and
-    respawned on failure.  See there for the traced
-    (:class:`~repro.obs.trace.LiveTraceCollector`) behavior.
-    """
-    plans = build_plans(trace, config)
-    policy, chaos, deadline_s = _effective(config, chaos)
-    traced = collector is not None
-    if traced:
-        from ..obs.trace import LIVE_CYCLE, LIVE_REPLAY, LIVE_RESTART
-    generation = 0
-    engine = _MpEngine(config, chaos, generation, collector)
-    engine.start()
-    result = SimResult(trace_name=trace.name, n_procs=config.n_procs)
-    fires: List[FireSet] = []
-    section_start = time.perf_counter()
-    try:
-        for plan in plans:
-            attempt = 0
-            while True:
-                attempt_start = time.perf_counter()
-                try:
-                    cycle_result, fired = engine.run_cycle(
-                        plan, attempt, deadline_s, policy.heartbeat_s)
-                    if traced:
-                        collector.recorder.record(
-                            LIVE_CYCLE, plan.index, attempt_start,
-                            time.perf_counter(),
-                            n=cycle_result.n_messages)
-                        collector.commit(plan.index, generation)
-                    break
-                except RETRYABLE as err:
-                    _count_failure(err)
-                    failed_at = time.perf_counter()
-                    if traced and attempt:
-                        collector.recorder.record(
-                            LIVE_REPLAY, plan.index, attempt_start,
-                            failed_at, n=attempt)
-                    if attempt >= policy.max_restarts:
-                        raise _give_up(plan, attempt, err) from err
-                    engine.stop()
-                    delay = policy.delay_s(attempt)
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    attempt += 1
-                    generation += 1
-                    _log_restart(plan, attempt, generation, err)
-                    engine = _MpEngine(config, chaos, generation,
-                                       collector)
-                    engine.start()
-                    if traced:
-                        collector.recorder.record(
-                            LIVE_RESTART, plan.index, failed_at,
-                            time.perf_counter(), n=attempt)
-            result.cycles.append(cycle_result)
-            fires.append(fired)
-    finally:
-        engine.stop()
+        if engine is not None:
+            await engine.stop()
     return result, fires, time.perf_counter() - section_start

@@ -140,8 +140,9 @@ class RunConfig:
     compress_rounds: bool = False
     #: Supervision policy for the live executor backends (heartbeats,
     #: per-cycle deadlines, checkpoint-replay restarts; see
-    #: :mod:`repro.exec.supervise`).  ``None`` runs unsupervised.  The
-    #: discrete simulator ignores it.
+    #: :mod:`repro.exec.supervise`).  ``None`` allows no restarts: the
+    #: first typed failure propagates.  The discrete simulator ignores
+    #: it.
     supervise: Optional[SupervisePolicy] = None
     #: Record distributed spans on the live ``actors`` backend into
     #: per-actor flight recorders, merged into a

@@ -12,12 +12,13 @@ The contracts under test:
 
 import pytest
 
-from repro.exec import (ActorExecutor, BACKENDS, Executor, RunHandle,
-                        SimExecutor, expected_fires, get_executor,
-                        match_signature, run)
+from repro.exec import (CONTROL, ActorExecutor, BACKENDS, Executor,
+                        MatchActorCore, ProtocolViolation, RunHandle,
+                        SimExecutor, build_plans, expected_fires,
+                        get_executor, match_signature, run)
 from repro.mpc import (TABLE_5_1, FaultModel, RunConfig,
                        TimelineRecorder, simulate_config)
-from repro.workloads import rubik_section, weaver_section
+from repro.workloads import rubik_section, tourney_section, weaver_section
 
 OV8 = next(o for o in TABLE_5_1 if o.total_us == 8)
 
@@ -108,6 +109,22 @@ class TestActorsBackend:
         assert match_signature(live) == \
             match_signature(run(rubik, config))
 
+    @pytest.mark.parametrize("section", ["rubik", "tourney", "weaver"])
+    @pytest.mark.parametrize("n_procs", [2, 4, 8])
+    def test_process_transport_repeated_on_section5(self, section,
+                                                    n_procs):
+        """Worker processes flush through their own feeder threads, so
+        message orders differ run to run; three runs of every Section
+        5 trace must all match the simulator."""
+        trace = {"rubik": rubik_section, "tourney": tourney_section,
+                 "weaver": weaver_section}[section]()
+        config = RunConfig(n_procs=n_procs)
+        sim = match_signature(run(trace, config))
+        for _ in range(3):
+            live = run(trace, config, backend="actors",
+                       transport="process")
+            assert match_signature(live) == sim
+
     def test_rejects_fault_injection(self, rubik):
         executor = ActorExecutor()
         with pytest.raises(ValueError,
@@ -125,6 +142,51 @@ class TestActorsBackend:
         config = RunConfig(n_procs=2, faults=FaultModel())
         live = run(rubik, config, backend="actors")
         assert match_signature(live) == match_signature(run(rubik, config))
+
+
+class TestMatchActorCoreOrdering:
+    """A token may reach an actor before its cycle's plan does (the
+    process transport orders nothing across senders)."""
+
+    @staticmethod
+    def _remote_token(rubik, config):
+        """``(cycle plan, receiving actor, token act id)`` for the
+        first cross-partition token rubik produces."""
+        for plan in build_plans(rubik, config):
+            for i, share in enumerate(plan.per_actor):
+                core = MatchActorCore(i, config)
+                out, _ = core.on_cycle(share, plan.index)
+                for dst, msg in out:
+                    if dst != CONTROL:
+                        assert msg == ("token", msg[1], plan.index)
+                        return plan, dst, msg[1]
+        raise AssertionError("rubik produced no remote token")
+
+    def test_early_token_is_buffered_then_processed(self, rubik):
+        config = RunConfig(n_procs=4, overheads=OV8)
+        plan, dst, act_id = self._remote_token(rubik, config)
+        early = MatchActorCore(dst, config)
+        assert early.on_token(act_id, plan.index) == ([], 0)
+        assert early.activations == 0
+        early_out, early_n = early.on_cycle(plan.per_actor[dst],
+                                            plan.index)
+
+        in_order = MatchActorCore(dst, config)
+        out, n = in_order.on_cycle(plan.per_actor[dst], plan.index)
+        token_out, token_n = in_order.on_token(act_id, plan.index)
+        assert early_n == n + token_n
+        assert sorted(early_out) == sorted(out + token_out)
+        assert early.on_sync() == in_order.on_sync()
+
+    def test_stale_token_raises(self, rubik):
+        config = RunConfig(n_procs=4, overheads=OV8)
+        plan, dst, act_id = self._remote_token(rubik, config)
+        core = MatchActorCore(dst, config)
+        core.on_cycle(plan.per_actor[dst], plan.index)
+        core.on_token(act_id, plan.index)
+        core.on_sync()
+        with pytest.raises(ProtocolViolation, match="closed cycle"):
+            core.on_token(act_id, plan.index)
 
 
 class TestRunHandle:

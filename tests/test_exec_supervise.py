@@ -22,7 +22,9 @@ from repro.exec import (ActorExecutor, ChaosPolicy, ExecutorError,
                         RestartsExhausted, SessionOverloaded,
                         SessionServer, CONTROL, MatchActorCore,
                         build_plans, exec_timeout_s, match_signature,
-                        run, run_supervised_async, run_supervised_mp)
+                        run)
+from repro.exec.actors import run_section_async
+from repro.exec.mp import run_section_mp
 from repro.exec.errors import DEFAULT_TIMEOUT_S, ENV_TIMEOUT
 from repro.exec.plan import CycleAccumulator
 from repro.mpc import TABLE_5_1, RunConfig, SupervisePolicy
@@ -171,17 +173,17 @@ class TestChecksumGuard:
         def route(out, processed):
             for dst, msg in out:
                 if dst == CONTROL:
-                    acc.note(msg)
+                    acc.feed(msg)
                 else:
                     queue.append((dst, msg))
             if processed:
-                acc.note(("processed", processed))
+                acc.feed(("processed", processed))
 
         for i in range(n):
-            route(*cores[i].on_cycle(plan.per_actor[i]))
+            route(*cores[i].on_cycle(plan.per_actor[i], plan.index))
         while queue:
             dst, msg = queue.popleft()
-            route(*cores[dst].on_token(msg[1]))
+            route(*cores[dst].on_token(msg[1], msg[2]))
         assert acc.done
         return acc, [core.on_sync() for core in cores]
 
@@ -422,12 +424,12 @@ class TestSupervisedEntryPoints:
     def test_async_entry_point_returns_triple(self, rubik):
         config = RunConfig(n_procs=2, overheads=OV8, supervise=FAST)
         result, fires, wall_s = asyncio.run(
-            run_supervised_async(rubik, config))
+            run_section_async(rubik, config))
         assert len(result.cycles) == len(rubik.cycles)
         assert wall_s > 0.0
 
     def test_mp_entry_point_returns_triple(self, rubik):
         config = RunConfig(n_procs=2, overheads=OV8, supervise=FAST)
-        result, fires, wall_s = run_supervised_mp(rubik, config)
+        result, fires, wall_s = run_section_mp(rubik, config)
         assert len(result.cycles) == len(rubik.cycles)
         assert wall_s > 0.0
