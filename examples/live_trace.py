@@ -33,7 +33,7 @@ from repro.exec import (ActorExecutor, ChaosPolicy, match_signature,
 from repro.mpc import (TABLE_5_1, RunConfig, SupervisePolicy,
                        format_attribution)
 from repro.obs import (live_attribution, reconcile_live,
-                       write_chrome_trace_live)
+                       write_chrome_trace)
 from repro.obs.trace import LIVE_REPLAY, LIVE_RESTART
 from repro.workloads import rubik_section
 
@@ -80,8 +80,7 @@ def attribute(timeline):
 def export(timeline):
     print("--- 4. Chrome trace export ---")
     out = pathlib.Path(tempfile.mkdtemp()) / "live.trace.json"
-    with out.open("w") as stream:
-        n_events = write_chrome_trace_live(timeline, stream)
+    n_events = write_chrome_trace(timeline, out)
     payload = json.loads(out.read_text())
     threads = {e["args"]["name"] for e in payload["traceEvents"]
                if e.get("name") == "thread_name"}

@@ -26,7 +26,8 @@ import tempfile
 from repro.mpc import (TABLE_5_1, RunConfig, TimelineRecorder,
                        attribute_timeline, critical_path,
                        format_attribution, gantt, simulate,
-                       simulate_config, write_chrome_trace)
+                       simulate_config)
+from repro.obs import write_chrome_trace
 from repro.workloads import weaver_section
 
 N_PROCS = 16
@@ -81,9 +82,8 @@ def export(timeline, section):
     print("--- 4. machine-readable exports ---")
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "weaver.trace.json"
-        write_chrome_trace(timeline, out)
-        events = json.loads(out.read_text(encoding="utf-8"))
-        n_events = len(events["traceEvents"])
+        n_events = write_chrome_trace(timeline, out)
+        json.loads(out.read_text(encoding="utf-8"))  # loadable JSON
         print(f"Chrome trace: {n_events} events "
               f"(load in https://ui.perfetto.dev)")
     payload = section.to_dict()

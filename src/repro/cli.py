@@ -172,8 +172,8 @@ def cmd_simulate(args) -> int:
     if args.timeline:
         # Record the run in-process (spans cannot cross worker
         # boundaries); bit-identical to the unrecorded fan-out.
-        from .mpc import (TimelineRecorder, simulate_config,
-                          write_chrome_trace)
+        from .mpc import TimelineRecorder, simulate_config
+        from .obs import write_chrome_trace
         recorder = TimelineRecorder()
         runs = [simulate_config(trace,
                                 configs[0].replace(recorder=recorder))]
@@ -249,8 +249,8 @@ def cmd_fault_sweep(args) -> int:
                         workers=getattr(args, "workers", None))
     if args.timeline:
         # Record the worst point of the sweep (highest loss rate).
-        from .mpc import (TimelineRecorder, simulate_config,
-                          write_chrome_trace)
+        from .mpc import TimelineRecorder, simulate_config
+        from .obs import write_chrome_trace
         recorder = TimelineRecorder()
         simulate_config(trace, _run_config(
             args, n_procs=args.procs, loss=max(args.loss),
@@ -312,8 +312,9 @@ def cmd_diagnose(args) -> int:
 
 def cmd_profile(args) -> int:
     from .mpc import (TimelineRecorder, attribute_timeline,
-                      format_attribution, gantt_section, simulate_config,
-                      write_chrome_trace, write_timeline_jsonl)
+                      format_attribution, gantt_section, simulate_config)
+    from .obs import (timeline_jsonl, write_chrome_trace,
+                      write_timeline_jsonl)
     recorder = TimelineRecorder()
     config = _run_config(args, n_procs=args.procs, recorder=recorder)
     overheads = config.overheads
@@ -334,11 +335,11 @@ def cmd_profile(args) -> int:
         return 0
     if args.format == "jsonl":
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as stream:
-                n = write_timeline_jsonl(timeline, stream)
+            n = write_timeline_jsonl(timeline, args.out)
             print(f"wrote {n} spans to {args.out}")
         else:
-            write_timeline_jsonl(timeline, sys.stdout)
+            for line in timeline_jsonl(timeline):
+                sys.stdout.write(line + "\n")
         return 0
     section = attribute_timeline(timeline)
     if args.format == "json":
@@ -717,7 +718,7 @@ def _export_live_trace(args, trace, outcome) -> dict:
     """Write, reconcile and summarize a ``--trace-live`` run's merged
     timeline; returns the JSON-ready ``live_trace`` payload."""
     from .analysis import diagnose_live
-    from .obs.trace import reconcile_live, write_chrome_trace_live
+    from .obs import reconcile_live, write_chrome_trace
     timeline = outcome.live
     if timeline is None:
         raise CLIError("--trace-live produced no timeline "
@@ -729,8 +730,7 @@ def _export_live_trace(args, trace, outcome) -> dict:
             from err
     out = getattr(args, "trace_out", None) \
         or f"{trace.name}-live-{args.transport}.trace.json"
-    with open(out, "w", encoding="utf-8") as stream:
-        write_chrome_trace_live(timeline, stream)
+    write_chrome_trace(timeline, out)
     findings = [str(f) for f in diagnose_live(timeline)]
     return {
         "path": out,

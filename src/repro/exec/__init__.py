@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..mpc.config import RunConfig, SupervisePolicy
+from ..obs.trace import CONTROL
 from ..trace.events import SectionTrace
 from .actors import ActorExecutor
 from .base import (Executor, RunHandle, RunResult, match_signature)
@@ -29,7 +30,7 @@ from .errors import (ENV_TIMEOUT, ExecutorCrashed, ExecutorError,
                      RestartsExhausted, SessionOverloaded,
                      exec_timeout_s)
 from .loadtest import arrival_offsets, run_loadtest
-from .plan import CONTROL, MatchActorCore, build_plans, expected_fires
+from .plan import MatchActorCore, build_plans, expected_fires
 from .served import SessionServer, ServedExecutor
 from .sim import SimExecutor
 

@@ -76,15 +76,13 @@ from ..mpc.config import RunConfig
 from ..mpc.mapping import RoundRobinMapping
 from ..mpc.metrics import CycleResult
 from ..mpc.simulator import compute_search_costs
+from ..obs.trace import CONTROL
 from ..rete.hashing import BucketKey
 from ..trace.events import KIND_TERMINAL, LEFT, SectionTrace
 from .errors import ExecutorCrashed, ProtocolViolation
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs.trace import LiveTraceCollector
-
-#: Destination id of the control actor in emitted ``(dst, msg)`` pairs.
-CONTROL = -1
 
 #: Activation spec inside an actor's plan:
 #: ``(is_left, extra_us, ((succ_id, dest, is_terminal), ...))``.

@@ -66,7 +66,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..mpc.config import RunConfig, SupervisePolicy
 from ..mpc.metrics import SimResult
 from ..obs import get_logger, get_registry, log_event
-from ..obs.trace import (LIVE_BARRIER, LIVE_CYCLE, LIVE_MATCH,
+from ..obs.trace import (CAT_CYCLE, CONTROL, LIVE_BARRIER, LIVE_MATCH,
                          LIVE_REPLAY, LIVE_RESTART, LIVE_SEND,
                          FlightRecorder)
 from ..trace.events import SectionTrace
@@ -74,7 +74,7 @@ from .base import FireSet
 from .chaos import MSG_FIRE, MSG_TOKEN, ChaosPolicy
 from .errors import (ExecutorCrashed, ExecutorWedged, ProtocolViolation,
                      RestartsExhausted, exec_timeout_s)
-from .plan import CONTROL, CycleAccumulator, CyclePlan, MatchActorCore, \
+from .plan import CycleAccumulator, CyclePlan, MatchActorCore, \
     build_plans
 
 _LOG = get_logger("repro.exec.supervise")
@@ -397,7 +397,7 @@ async def run_engine(trace: SectionTrace, config: RunConfig,
                         plan, attempt)
                     if traced:
                         collector.recorder.record(
-                            LIVE_CYCLE, plan.index, attempt_start,
+                            CAT_CYCLE, plan.index, attempt_start,
                             time.perf_counter(),
                             n=cycle_result.n_messages)
                         collector.commit(plan.index, engine.generation)

@@ -35,11 +35,9 @@ from .simulator import (BucketWorkCache, GreedyMappingFactory, bucket_work,
                         simulate_base, simulate_config)
 from .termination import (TerminationScheme, apply_termination,
                           detection_delay, termination_overhead_fraction)
-from .timeline import (CATEGORIES, CONTROL, GANTT_LEGEND, NETWORK,
-                       CycleTimeline, Envelope, Span, Timeline,
-                       TimelineRecorder, chrome_trace, gantt, gantt_section,
-                       timeline_jsonl, write_chrome_trace,
-                       write_timeline_jsonl)
+from ..obs.trace import CONTROL, NETWORK, Span
+from .timeline import (CATEGORIES, GANTT_LEGEND, CycleTimeline, Envelope,
+                       Timeline, TimelineRecorder, gantt, gantt_section)
 from .attribution import (IDLE_CATEGORIES, CycleAttribution,
                           SectionAttribution, attribute_cycle,
                           attribute_timeline, critical_path,
@@ -78,9 +76,8 @@ __all__ = [
     "TerminationScheme", "apply_termination", "detection_delay",
     "termination_overhead_fraction",
     "CATEGORIES", "CONTROL", "GANTT_LEGEND", "NETWORK", "CycleTimeline",
-    "Envelope", "Span", "Timeline", "TimelineRecorder", "chrome_trace",
-    "gantt", "gantt_section", "timeline_jsonl", "write_chrome_trace",
-    "write_timeline_jsonl",
+    "Envelope", "Span", "Timeline", "TimelineRecorder", "gantt",
+    "gantt_section",
     "IDLE_CATEGORIES", "CycleAttribution", "SectionAttribution",
     "attribute_cycle", "attribute_timeline", "critical_path",
     "format_attribution",

@@ -66,6 +66,7 @@ import heapq
 from collections import defaultdict
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..obs.trace import CONTROL, NETWORK, Span
 from ..rete.hashing import BucketKey
 from ..trace.events import (KIND_TERMINAL, LEFT, CycleTrace, IdleRun,
                             SectionTrace, iter_cycles)
@@ -79,8 +80,8 @@ from .metrics import CycleResult, SimResult, SparseProcArray
 from .timeline import (CAT_ACK, CAT_BROADCAST, CAT_CONSTANT_TESTS, CAT_RECV,
                        CAT_RETRANSMIT, CAT_SEND, CAT_STALL, CAT_SUCCESSOR,
                        CAT_TIMEOUT_WAIT, CAT_TOKEN_ADD, CAT_TOKEN_DELETE,
-                       CAT_TRANSIT, CONTROL, NETWORK, CycleTimeline,
-                       Envelope, Span, TimelineRecorder)
+                       CAT_TRANSIT, CycleTimeline, Envelope,
+                       TimelineRecorder)
 
 #: Test-only mis-pricing hook for the conformance harness
 #: (:mod:`repro.check`).  When nonzero, :func:`simulate_cycle` charges

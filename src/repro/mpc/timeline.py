@@ -4,18 +4,17 @@ The paper's contribution is the *analysis* of why speedups saturate, not
 the speedup numbers themselves — yet a :class:`~repro.mpc.metrics
 .SimResult` only carries end-of-run aggregates.  This module records,
 when explicitly asked to, everything the event loop does as **typed
-spans** on a per-cycle timeline: the broadcast, the constant tests,
-every token add/delete, every successor generation, every message send
-/ transit / receive, and (on the fault path) every ack, retransmission,
-timeout wait and stall.  The result is exportable three ways —
-
-* :func:`chrome_trace` — Chrome trace-event JSON, loadable in Perfetto
-  or ``chrome://tracing``;
-* :func:`timeline_jsonl` — one JSON object per span, for ad-hoc
-  analysis;
-* :func:`gantt` — an ASCII per-cycle Gantt chart for the terminal —
-
-and, through :mod:`repro.mpc.attribution`, decomposable into the
+spans** (:class:`repro.obs.trace.Span`, the one span model the live
+executors share) on a per-cycle timeline: the broadcast, the constant
+tests, every token add/delete, every successor generation, every
+message send / transit / receive, and (on the fault path) every ack,
+retransmission, timeout wait and stall.  A recorded :class:`Timeline`
+goes to the shared exporters in :mod:`repro.obs.trace` —
+:func:`~repro.obs.trace.chrome_trace` (Perfetto) and
+:func:`~repro.obs.trace.timeline_jsonl` — through
+:meth:`Timeline.section_spans`, which lays the cycles end to end; this
+module adds :func:`gantt`, an ASCII per-cycle Gantt chart for the
+terminal, and :mod:`repro.mpc.attribution` decomposes it into the
 paper's Section 5 idle-time limiter categories.
 
 Strictly opt-in
@@ -37,16 +36,12 @@ With the paper's cost models every time constant is a multiple of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..obs.trace import CAT_CYCLE, CONTROL, NETWORK, Span, row_name
 from .costmodel import CostModel, OverheadModel
 from .metrics import CycleResult
-
-#: Pseudo-processor rows for spans not on a match processor.
-CONTROL = -1
-NETWORK = -2
 
 # -- span categories (the typed vocabulary) -------------------------------
 CAT_BROADCAST = "broadcast"          # control sends the cycle's wme packet
@@ -62,36 +57,9 @@ CAT_RETRANSMIT = "retransmit"        # lost-copy resend (fault path)
 CAT_TIMEOUT_WAIT = "timeout_wait"    # sender's retransmit timeout (idle)
 CAT_STALL = "stall"                  # processor unavailable (idle)
 
-#: Categories that are *not* busy work: they explain idleness instead.
-IDLE_CATEGORIES = frozenset({CAT_TIMEOUT_WAIT, CAT_STALL})
-
 CATEGORIES = (CAT_BROADCAST, CAT_CONSTANT_TESTS, CAT_RECV, CAT_TOKEN_ADD,
               CAT_TOKEN_DELETE, CAT_SUCCESSOR, CAT_SEND, CAT_TRANSIT,
               CAT_ACK, CAT_RETRANSMIT, CAT_TIMEOUT_WAIT, CAT_STALL)
-
-
-@dataclass(slots=True, frozen=True)
-class Span:
-    """One typed interval on one row of a cycle timeline.
-
-    ``proc`` is a match-processor index, or :data:`CONTROL` /
-    :data:`NETWORK`.  ``act_id`` ties the span to the trace activation
-    it processes or carries (-1 when not applicable).
-    """
-
-    category: str
-    proc: int
-    start_us: float
-    end_us: float
-    act_id: int = -1
-
-    @property
-    def duration_us(self) -> float:
-        return self.end_us - self.start_us
-
-    @property
-    def is_busy(self) -> bool:
-        return self.category not in IDLE_CATEGORIES
 
 
 @dataclass(slots=True, frozen=True)
@@ -246,6 +214,31 @@ class Timeline:
             t += cycle.makespan_us * cycle.repeat
         return offsets
 
+    def section_spans(self) -> Iterator[Span]:
+        """Every span on the section axis, for the exporters.
+
+        Each entry yields one :data:`~repro.obs.trace.CAT_CYCLE` span
+        on the control row covering it, then its own spans, all shifted
+        by the entry's :meth:`cycle_offsets_us` start and tagged with
+        its cycle index; a compressed entry's spans carry ``n =
+        repeat``.
+        """
+        for offset, cycle in zip(self.cycle_offsets_us(), self.cycles):
+            index, repeat = cycle.index, cycle.repeat
+            yield Span(CAT_CYCLE, CONTROL, offset,
+                       offset + cycle.makespan_us * repeat,
+                       cycle=index, n=repeat)
+            for s in cycle.spans:
+                yield Span(s.category, s.proc, offset + s.start_us,
+                           offset + s.end_us, s.act_id, cycle=index,
+                           n=repeat)
+
+    def export_header(self) -> Tuple[str, Dict[str, object]]:
+        """Process name and ``otherData`` for the Chrome exporter."""
+        return (f"repro {self.trace_name} @{self.n_procs} procs",
+                {"overheads_us": self.overheads.total_us,
+                 "faulty": self.faulty})
+
     def longest_cycle(self) -> CycleTimeline:
         if not self.cycles:
             raise ValueError("empty timeline")
@@ -277,112 +270,8 @@ class TimelineRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Exports: Chrome trace-event JSON, JSONL spans, ASCII Gantt.
+# ASCII Gantt (the Chrome and JSONL exports are in repro.obs.trace).
 # ---------------------------------------------------------------------------
-
-def _thread_ids(n_procs: int) -> Dict[int, int]:
-    """Chrome tid per row: control first, then procs, network last."""
-    tids = {CONTROL: 0, NETWORK: n_procs + 1}
-    for p in range(n_procs):
-        tids[p] = p + 1
-    return tids
-
-
-def _thread_name(proc: int) -> str:
-    if proc == CONTROL:
-        return "control"
-    if proc == NETWORK:
-        return "network"
-    return f"proc {proc}"
-
-
-def chrome_trace(timeline: Timeline) -> Dict[str, object]:
-    """The timeline as a Chrome trace-event JSON object.
-
-    Cycles are laid end to end on one absolute time axis (they are
-    serialized by the control barrier), timestamps are microseconds
-    (Chrome's native unit), and each row becomes a named thread.  Load
-    the written file in Perfetto (https://ui.perfetto.dev) or
-    ``chrome://tracing``.
-    """
-    tids = _thread_ids(timeline.n_procs)
-    events: List[Dict[str, object]] = [
-        {"name": "process_name", "ph": "M", "pid": 0,
-         "args": {"name": f"repro {timeline.trace_name} "
-                          f"@{timeline.n_procs} procs"}},
-    ]
-    for proc, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        events.append({"name": "thread_name", "ph": "M", "pid": 0,
-                       "tid": tid, "args": {"name": _thread_name(proc)}})
-    for offset, cycle in zip(timeline.cycle_offsets_us(),
-                             timeline.cycles):
-        if cycle.repeat == 1:
-            name = f"cycle {cycle.index}"
-        else:
-            name = (f"cycles {cycle.index}-"
-                    f"{cycle.index + cycle.repeat - 1} (idle x"
-                    f"{cycle.repeat})")
-        cycle_args: Dict[str, object] = {"cycle": cycle.index,
-                                         "makespan_us": cycle.makespan_us}
-        if cycle.repeat != 1:
-            cycle_args["repeat"] = cycle.repeat
-        events.append({
-            "name": name, "cat": "cycle", "ph": "X",
-            "ts": offset, "dur": cycle.makespan_us * cycle.repeat,
-            "pid": 0, "tid": tids[CONTROL], "args": cycle_args})
-        for span in cycle.spans:
-            args: Dict[str, object] = {"cycle": cycle.index}
-            if span.act_id >= 0:
-                args["act_id"] = span.act_id
-            events.append({
-                "name": span.category, "cat": span.category, "ph": "X",
-                "ts": offset + span.start_us, "dur": span.duration_us,
-                "pid": 0, "tid": tids[span.proc], "args": args})
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "trace": timeline.trace_name,
-            "n_procs": timeline.n_procs,
-            "overheads_us": timeline.overheads.total_us,
-            "faulty": timeline.faulty,
-        },
-    }
-
-
-def write_chrome_trace(timeline: Timeline, path) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(chrome_trace(timeline), stream)
-        stream.write("\n")
-
-
-def timeline_jsonl(timeline: Timeline) -> Iterator[str]:
-    """One JSON line per span, with absolute (section-level) times."""
-    for offset, cycle in zip(timeline.cycle_offsets_us(),
-                             timeline.cycles):
-        for span in cycle.spans:
-            record = {
-                "trace": timeline.trace_name,
-                "cycle": cycle.index,
-                "proc": _thread_name(span.proc),
-                "category": span.category,
-                "start_us": offset + span.start_us,
-                "end_us": offset + span.end_us,
-                "act_id": span.act_id if span.act_id >= 0 else None,
-                "busy": span.is_busy,
-            }
-            if cycle.repeat != 1:
-                record["repeat"] = cycle.repeat
-            yield json.dumps(record, separators=(",", ":"))
-
-
-def write_timeline_jsonl(timeline: Timeline, stream: IO[str]) -> int:
-    n = 0
-    for line in timeline_jsonl(timeline):
-        stream.write(line + "\n")
-        n += 1
-    return n
-
 
 #: Gantt glyph per category (later spans overwrite earlier ones, so the
 #: fine-grained work inside an envelope wins over its container).
@@ -434,14 +323,14 @@ def gantt(cycle: CycleTimeline, width: int = 64,
             glyph = _GANTT_GLYPHS.get(span.category, "?")
             for i in range(max(0, first), min(width, last)):
                 grid[i] = glyph
-    label_w = max(len(_thread_name(p)) for p in rows)
+    label_w = max(len(row_name(p)) for p in rows)
     stretch = "" if cycle.repeat == 1 else \
         f" (x{cycle.repeat} idle cycles)"
     lines = [f"cycle {cycle.index}{stretch}: makespan "
              f"{makespan / 1000:.3f} ms, {width} cols of "
              f"{makespan / width:.1f} us"]
     for proc in rows:
-        lines.append(f"{_thread_name(proc).rjust(label_w)} "
+        lines.append(f"{row_name(proc).rjust(label_w)} "
                      f"|{''.join(grids[proc])}|")
     lines.append(GANTT_LEGEND)
     return "\n".join(lines)

@@ -15,27 +15,28 @@ surfaces what the whole stack did.
 * :mod:`~repro.obs.logging` — the ``repro.*`` logger hierarchy with a
   verbosity-level configurator (``--quiet`` / ``-v`` / ``-vv``) and a
   ``key=value`` structured-event helper.
-* :mod:`~repro.obs.trace` — distributed tracing for the live executor
-  backends: per-actor flight recorders, span-context propagation over
-  the Section 3.2 message protocol, clock-aligned merge, Chrome-trace
-  / JSONL export, measured attribution and post-mortem dumps.
+* :mod:`~repro.obs.trace` — the one span model and its Chrome-trace /
+  JSONL exporters, shared by the simulator's recorded timelines and
+  the live executors; plus distributed tracing for the live backends:
+  per-actor flight recorders, span-context propagation over the
+  Section 3.2 message protocol, clock-aligned merge, measured
+  attribution and post-mortem dumps.
 """
 
 from .logging import (configure_logging, get_logger, log_event,
                       verbosity_level)
 from .metrics import (Counter, Histogram, MetricsRegistry, get_registry,
                       prometheus_text, reset_registry)
-from .trace import (FlightRecorder, LiveSpan, LiveTimeline,
-                    LiveTraceCollector, chrome_trace_live, dump_flight,
-                    live_attribution, live_jsonl, reconcile_live,
-                    write_chrome_trace_live, write_live_jsonl)
+from .trace import (FlightRecorder, LiveTimeline, LiveTraceCollector,
+                    Span, chrome_trace, dump_flight, live_attribution,
+                    reconcile_live, timeline_jsonl, write_chrome_trace,
+                    write_timeline_jsonl)
 
 __all__ = [
     "configure_logging", "get_logger", "log_event", "verbosity_level",
     "Counter", "Histogram", "MetricsRegistry", "get_registry",
     "prometheus_text", "reset_registry",
-    "FlightRecorder", "LiveSpan", "LiveTimeline", "LiveTraceCollector",
-    "chrome_trace_live", "dump_flight", "live_attribution",
-    "live_jsonl", "reconcile_live", "write_chrome_trace_live",
-    "write_live_jsonl",
+    "FlightRecorder", "LiveTimeline", "LiveTraceCollector", "Span",
+    "chrome_trace", "dump_flight", "live_attribution", "reconcile_live",
+    "timeline_jsonl", "write_chrome_trace", "write_timeline_jsonl",
 ]

@@ -1,11 +1,27 @@
-"""Distributed tracing for the live executors: flight recorders,
-span-context propagation, clock-aligned merge, and live attribution.
+"""The one span model: spans, rows and exporters for both timelines,
+plus distributed tracing for the live executors.
 
-The discrete simulator explains itself through
-:mod:`repro.mpc.timeline` — typed spans, Chrome-trace export, idle
-attribution.  This module gives the *live* actor backends
-(:mod:`repro.exec.actors`, :mod:`repro.exec.mp`,
-:mod:`repro.exec.supervise`) the same measured view:
+Two producers emit the same :class:`Span`:
+
+* the discrete simulator's opt-in recorder
+  (:class:`repro.mpc.timeline.TimelineRecorder`), one span per piece of
+  modeled work, cycle-relative inside each
+  :class:`~repro.mpc.timeline.CycleTimeline`;
+* the live actor backends (:mod:`repro.exec.actors`,
+  :mod:`repro.exec.mp`, :mod:`repro.exec.supervise`), whose merged
+  flight-recorder drains form a :class:`LiveTimeline`.
+
+Both share one row scheme — :data:`CONTROL`, match processors
+``0..P-1``, :data:`NETWORK`, named ``control`` / ``proc N`` /
+``network`` — and one pair of exporters, :func:`chrome_trace`
+(Perfetto / ``chrome://tracing``) and :func:`timeline_jsonl`.  An
+exporter takes either timeline: each hands over its spans on one
+section-wide axis (:meth:`~repro.mpc.timeline.Timeline.section_spans`
+shifts the simulator's cycles end to end), so a simulated run and a
+live run of the same section open side by side in Perfetto row for
+row.
+
+Live tracing works like this:
 
 * every data message of the Section 3.2 protocol
   (``cycle``/``token``/``fire``) carries a compact **trace context**
@@ -15,7 +31,7 @@ attribution.  This module gives the *live* actor backends
   (:data:`LIVE_MATCH`, :data:`LIVE_SEND`, :data:`LIVE_BARRIER`) into a
   per-process ring-buffer **flight recorder**
   (:class:`FlightRecorder`); the supervisor coordinator records
-  :data:`LIVE_CYCLE`, :data:`LIVE_RESTART` and :data:`LIVE_REPLAY`;
+  :data:`CAT_CYCLE`, :data:`LIVE_RESTART` and :data:`LIVE_REPLAY`;
 * recorders are **drained over the existing control channel** — a
   ``("spans", ...)`` bookkeeping message sent just before each barrier
   ``stats`` reply, so the merge needs no side channel and FIFO order
@@ -27,25 +43,22 @@ attribution.  This module gives the *live* actor backends
   processes each recorder's paired ``(perf_counter, time.time)`` base
   anchors its monotonic clock to wall time, and all spans land on one
   axis — microseconds since the coordinator recorder was created;
-* the merged :class:`LiveTimeline` exports in the **same formats** as
-  ``repro profile`` (:func:`chrome_trace_live`, :func:`live_jsonl`) so
-  a live run and its simulated twin open side by side in Perfetto, and
-  a measured-attribution pass (:func:`live_attribution`) reuses the
+* :func:`reconcile_live` audits the merged spans against the run's
+  counters exactly, and :func:`live_attribution` reuses the
   :mod:`repro.mpc.attribution` categories over live spans.
 
 Tracing is strictly opt-in (``RunConfig.live_trace`` /
 ``--trace-live``) and bit-invisible to match signatures and every
-counter when off — the untraced code paths are unchanged and this
-module is not imported; the ``live_trace_invisible`` oracle in
-:mod:`repro.check` pins that.  When a traced run dies with a typed
+counter when off — the untraced code paths never construct a recorder;
+the ``live_trace_invisible`` oracle in :mod:`repro.check` pins that.
+When a traced run dies with a typed
 :class:`~repro.exec.errors.ExecutorError`, the flight recorder is
 dumped automatically (:func:`dump_flight`) for post-mortem analysis —
 including spans of failed, uncommitted cycle attempts.
 
-Everything here is stdlib-only at module level;
-:mod:`repro.mpc.attribution` is imported lazily inside
-:func:`live_attribution` so the flight-recorder hot path stays free of
-heavyweight imports.
+Everything here is stdlib-only at module level (every ``import
+repro.mpc`` loads it); :mod:`repro.mpc.attribution` is imported lazily
+inside :func:`live_attribution`.
 """
 
 from __future__ import annotations
@@ -55,26 +68,96 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-#: Pseudo-actor id of the control/coordinator row (matches
-#: :data:`repro.exec.plan.CONTROL`).
+# -- the one row scheme ----------------------------------------------------
+#: Pseudo-processor rows for spans not on a match processor.
 CONTROL = -1
+NETWORK = -2
 
-# -- live span categories (the typed vocabulary) ---------------------------
-LIVE_CYCLE = "cycle"                    # coordinator: one committed cycle
+# -- span categories: the cycle both timelines draw on the control row,
+# then the live ones (the simulator's are in repro.mpc.timeline) ----------
+CAT_CYCLE = "cycle"                     # control: one whole cycle
 LIVE_MATCH = "match"                    # actor: processing one delivery
 LIVE_SEND = "send"                      # actor: emitting outbox messages
 LIVE_BARRIER = "barrier_wait"           # actor: idle until the sync barrier
 LIVE_RESTART = "restart"                # coordinator: failure -> respawn
 LIVE_REPLAY = "checkpoint_replay"       # coordinator: failed replay attempt
 
-LIVE_CATEGORIES = (LIVE_CYCLE, LIVE_MATCH, LIVE_SEND, LIVE_BARRIER,
+LIVE_CATEGORIES = (CAT_CYCLE, LIVE_MATCH, LIVE_SEND, LIVE_BARRIER,
                    LIVE_RESTART, LIVE_REPLAY)
 
-#: Categories that measure *waiting*, not work.
-LIVE_IDLE_CATEGORIES = frozenset({LIVE_BARRIER, LIVE_RESTART,
-                                  LIVE_REPLAY})
+#: Span categories that measure *waiting*, not work: the simulator's
+#: retransmit timeouts and stalls, and the live barrier, restart and
+#: replay windows.
+IDLE_SPAN_CATEGORIES = frozenset({"timeout_wait", "stall", LIVE_BARRIER,
+                                  LIVE_RESTART, LIVE_REPLAY})
+
+
+# Not frozen: a frozen dataclass sets each of its eleven fields through
+# object.__setattr__, about 5x the cost of a plain __init__, and the
+# recorder builds one Span per modeled event.
+@dataclass(slots=True)
+class Span:
+    """One typed interval on one row of a timeline.
+
+    ``proc`` is a match-processor index, or :data:`CONTROL` /
+    :data:`NETWORK`.  ``act_id`` ties the span to the trace activation
+    it processes or carries (-1 when not applicable).  ``cycle`` is the
+    cycle index (-1 inside a simulator
+    :class:`~repro.mpc.timeline.CycleTimeline`, whose spans are
+    cycle-relative) and ``n`` how many units the span covers:
+    deliveries for a live match span, messages for a live send or
+    cycle span, identical idle cycles for the spans of a compressed
+    simulator entry.
+
+    The rest is live-only.  ``wait_us`` is the measured delivery delay
+    of the message that triggered this span, sent by row ``src`` — send
+    timestamp on the *sender's* clock, aligned, clamped at zero (clock
+    alignment across processes is wall-clock accurate, not perfect).
+    ``busy_us`` on a match span is the actor core's cumulative
+    model-priced busy time at the end of the span, so the last match
+    span of a cycle carries exactly the ``proc_busy_us`` the barrier
+    stats report.  ``generation`` is the supervised attempt that
+    recorded it.
+    """
+
+    category: str
+    proc: int
+    start_us: float
+    end_us: float
+    act_id: int = -1
+    cycle: int = -1
+    n: int = 1
+    src: Optional[int] = None
+    wait_us: float = 0.0
+    busy_us: float = 0.0
+    generation: int = 0
+
+    @property
+    def duration_us(self) -> float:
+        return self.end_us - self.start_us
+
+    @property
+    def is_busy(self) -> bool:
+        return self.category not in IDLE_SPAN_CATEGORIES
+
+
+def _thread_ids(n_procs: int) -> Dict[int, int]:
+    """Chrome tid per row: control first, then procs, network last."""
+    tids = {CONTROL: 0, NETWORK: n_procs + 1}
+    for p in range(n_procs):
+        tids[p] = p + 1
+    return tids
+
+
+def row_name(proc: int) -> str:
+    if proc == CONTROL:
+        return "control"
+    if proc == NETWORK:
+        return "network"
+    return f"proc {proc}"
+
 
 #: Tag of the control-channel drain message (bookkeeping, never counted
 #: in ``n_messages`` — exactly like ``processed``/``sync``/``stats``).
@@ -143,42 +226,6 @@ class FlightRecorder:
                 self.wall_base, self.pid, spans, dropped)
 
 
-@dataclass(frozen=True, slots=True)
-class LiveSpan:
-    """One merged, clock-aligned span of a live run.
-
-    Times are microseconds since the coordinator's flight recorder was
-    created (one absolute axis across all actors and processes).
-    ``wait_us`` is the measured delivery delay of the message that
-    triggered this span — send timestamp on the *sender's* clock,
-    aligned, clamped at zero (clock alignment across processes is
-    wall-clock accurate, not perfect).  ``busy_us`` on a match span is
-    the actor core's cumulative model-priced busy time at the end of
-    the span, so the last match span of a cycle carries exactly the
-    ``proc_busy_us`` the barrier stats report.
-    """
-
-    category: str
-    actor: int
-    cycle: int
-    start_us: float
-    end_us: float
-    n: int = 1
-    act_id: int = -1
-    src: Optional[int] = None
-    wait_us: float = 0.0
-    busy_us: float = 0.0
-    generation: int = 0
-
-    @property
-    def duration_us(self) -> float:
-        return self.end_us - self.start_us
-
-    @property
-    def is_busy(self) -> bool:
-        return self.category not in LIVE_IDLE_CATEGORIES
-
-
 @dataclass
 class LiveTimeline:
     """The merged flight-recorder view of one live run."""
@@ -186,7 +233,7 @@ class LiveTimeline:
     trace_name: str
     n_procs: int
     transport: str
-    spans: List[LiveSpan] = field(default_factory=list)
+    spans: List[Span] = field(default_factory=list)
     #: Committed cycle index -> the generation whose spans count.
     committed: Dict[int, int] = field(default_factory=dict)
     #: Total ring-buffer overwrites across every drained recorder.
@@ -195,14 +242,24 @@ class LiveTimeline:
     def cycle_indices(self) -> List[int]:
         return sorted({s.cycle for s in self.spans if s.cycle >= 0})
 
-    def by_cycle(self) -> Dict[int, List[LiveSpan]]:
-        out: Dict[int, List[LiveSpan]] = {}
+    def by_cycle(self) -> Dict[int, List[Span]]:
+        out: Dict[int, List[Span]] = {}
         for span in self.spans:
             out.setdefault(span.cycle, []).append(span)
         return out
 
-    def spans_for(self, actor: int) -> List[LiveSpan]:
-        return [s for s in self.spans if s.actor == actor]
+    def spans_for(self, proc: int) -> List[Span]:
+        return [s for s in self.spans if s.proc == proc]
+
+    def section_spans(self) -> List[Span]:
+        """The spans on the section axis (already merged onto it)."""
+        return self.spans
+
+    def export_header(self) -> Tuple[str, Dict[str, object]]:
+        """Process name and ``otherData`` for :func:`chrome_trace`."""
+        return (f"repro live {self.trace_name} @{self.n_procs} procs "
+                f"({self.transport})",
+                {"transport": self.transport, "dropped": self.dropped})
 
     def duration_us(self) -> float:
         if not self.spans:
@@ -298,7 +355,7 @@ class LiveTraceCollector:
                                 n_procs=self.n_procs,
                                 transport=self.transport,
                                 committed=dict(self.committed))
-        coordinator_spans = (LIVE_CYCLE, LIVE_RESTART, LIVE_REPLAY)
+        coordinator_spans = (CAT_CYCLE, LIVE_RESTART, LIVE_REPLAY)
         for drain in self._drains:
             _, actor, generation, _, _, _, raw_spans, dropped = drain
             timeline.dropped += dropped
@@ -316,119 +373,106 @@ class LiveTraceCollector:
                         wait_us = max(
                             0.0,
                             ((start_s + off) - (sent_s + src_off)) * 1e6)
-                timeline.spans.append(LiveSpan(
-                    category=category, actor=actor, cycle=cycle,
+                timeline.spans.append(Span(
+                    category=category, proc=actor, cycle=cycle,
                     start_us=(start_s + off) * 1e6,
                     end_us=(end_s + off) * 1e6,
                     n=n, act_id=act_id, src=src, wait_us=wait_us,
                     busy_us=busy_us, generation=generation))
-        timeline.spans.sort(key=lambda s: (s.start_us, s.actor))
+        timeline.spans.sort(key=lambda s: (s.start_us, s.proc))
         return timeline
 
 
 # ---------------------------------------------------------------------------
-# Export: the same formats as the simulator's ``repro profile``
+# Export: one Chrome trace-event writer and one JSONL writer for both
+# timelines
 # ---------------------------------------------------------------------------
 
 
-def _live_thread_ids(n_procs: int) -> Dict[int, int]:
-    """Chrome tid per row: control first, then actors — the same
-    layout as :func:`repro.mpc.timeline.chrome_trace`, so a live trace
-    and its simulated twin line up row for row in Perfetto."""
-    tids = {CONTROL: 0}
-    for p in range(n_procs):
-        tids[p] = p + 1
-    return tids
+def chrome_trace(timeline) -> Dict[str, object]:
+    """A timeline as a Chrome trace-event JSON object.
 
-
-def _live_thread_name(actor: int) -> str:
-    return "control" if actor == CONTROL else f"actor {actor}"
-
-
-def chrome_trace_live(timeline: LiveTimeline) -> Dict[str, object]:
-    """The live timeline as a Chrome trace-event JSON object.
-
-    Timestamps are microseconds on the merged coordinator axis; load
-    the written file in Perfetto (https://ui.perfetto.dev) next to a
-    ``repro profile --format chrome`` export of the same section to
-    compare measured against modeled behavior span by span.
+    *timeline* is a simulator :class:`~repro.mpc.timeline.Timeline` or
+    a :class:`LiveTimeline`.  Timestamps are microseconds (Chrome's
+    native unit) on the timeline's section axis and each row of the
+    one row scheme becomes a named thread.  Load the written file in
+    Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
     """
-    tids = _live_thread_ids(timeline.n_procs)
+    process_name, other_data = timeline.export_header()
+    tids = _thread_ids(timeline.n_procs)
     events: List[Dict[str, object]] = [
         {"name": "process_name", "ph": "M", "pid": 0,
-         "args": {"name": f"repro live {timeline.trace_name} "
-                          f"@{timeline.n_procs} actors "
-                          f"({timeline.transport})"}},
+         "args": {"name": process_name}},
     ]
-    for actor, tid in sorted(tids.items(), key=lambda kv: kv[1]):
+    for proc, tid in sorted(tids.items(), key=lambda kv: kv[1]):
         events.append({"name": "thread_name", "ph": "M", "pid": 0,
-                       "tid": tid,
-                       "args": {"name": _live_thread_name(actor)}})
-    for span in timeline.spans:
+                       "tid": tid, "args": {"name": row_name(proc)}})
+    for span in timeline.section_spans():
         args: Dict[str, object] = {"cycle": span.cycle}
         if span.n != 1:
             args["n"] = span.n
         if span.act_id >= 0:
             args["act_id"] = span.act_id
         if span.src is not None:
-            args["src"] = _live_thread_name(span.src)
+            args["src"] = row_name(span.src)
             args["wait_us"] = span.wait_us
         if span.busy_us:
             args["busy_us"] = span.busy_us
         if span.generation:
             args["generation"] = span.generation
         events.append({
-            "name": span.category, "cat": span.category, "ph": "X",
+            "name": (f"cycle {span.cycle}" if span.category == CAT_CYCLE
+                     else span.category),
+            "cat": span.category, "ph": "X",
             "ts": span.start_us, "dur": span.duration_us,
-            "pid": 0, "tid": tids.get(span.actor, span.actor + 1),
-            "args": args})
+            "pid": 0, "tid": tids[span.proc], "args": args})
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "trace": timeline.trace_name,
-            "n_procs": timeline.n_procs,
-            "transport": timeline.transport,
-            "dropped": timeline.dropped,
-        },
+        "otherData": {"trace": timeline.trace_name,
+                      "n_procs": timeline.n_procs, **other_data},
     }
 
 
-def write_chrome_trace_live(timeline: LiveTimeline,
-                            stream: IO[str]) -> int:
-    """Write :func:`chrome_trace_live` JSON; returns the event count."""
-    payload = chrome_trace_live(timeline)
-    json.dump(payload, stream, separators=(",", ":"))
+def write_chrome_trace(timeline, path) -> int:
+    """Write :func:`chrome_trace` JSON to *path*; returns the event
+    count."""
+    payload = chrome_trace(timeline)
+    with open(path, "w", encoding="utf-8") as stream:
+        json.dump(payload, stream, separators=(",", ":"))
+        stream.write("\n")
     return len(payload["traceEvents"])  # type: ignore[arg-type]
 
 
-def live_jsonl(timeline: LiveTimeline) -> Iterator[str]:
-    """One JSON line per merged span (the ``repro profile`` JSONL
-    shape, with live-only fields added)."""
-    for span in timeline.spans:
+def timeline_jsonl(timeline) -> Iterator[str]:
+    """One JSON line per span of *timeline* (either kind), on its
+    section axis; every line has the same keys."""
+    for span in timeline.section_spans():
         record = {
             "trace": timeline.trace_name,
             "cycle": span.cycle,
-            "proc": _live_thread_name(span.actor),
+            "proc": row_name(span.proc),
             "category": span.category,
             "start_us": span.start_us,
             "end_us": span.end_us,
             "act_id": span.act_id if span.act_id >= 0 else None,
             "busy": span.is_busy,
             "n": span.n,
-            "src": (None if span.src is None
-                    else _live_thread_name(span.src)),
+            "src": None if span.src is None else row_name(span.src),
             "wait_us": span.wait_us,
+            "busy_us": span.busy_us,
             "generation": span.generation,
         }
         yield json.dumps(record, separators=(",", ":"))
 
 
-def write_live_jsonl(timeline: LiveTimeline, stream: IO[str]) -> int:
+def write_timeline_jsonl(timeline, path) -> int:
+    """Write :func:`timeline_jsonl` to *path*; returns the line count."""
     n = 0
-    for line in live_jsonl(timeline):
-        stream.write(line + "\n")
-        n += 1
+    with open(path, "w", encoding="utf-8") as stream:
+        for line in timeline_jsonl(timeline):
+            stream.write(line + "\n")
+            n += 1
     return n
 
 
@@ -464,7 +508,7 @@ def reconcile_live(timeline: LiveTimeline, result) -> None:
         sends = 0
         for actor in range(timeline.n_procs):
             matches = [s for s in spans
-                       if s.actor == actor and s.category == LIVE_MATCH]
+                       if s.proc == actor and s.category == LIVE_MATCH]
             delivered = sum(s.n for s in matches)
             expected = cycle_result.proc_activations[actor]
             if delivered != expected:
@@ -478,7 +522,7 @@ def reconcile_live(timeline: LiveTimeline, result) -> None:
                     f"cycle {index}: actor {actor} traced busy "
                     f"{busy!r} us != counter {expected_busy!r} us")
             sends += sum(s.n for s in spans
-                         if s.actor == actor and s.category == LIVE_SEND)
+                         if s.proc == actor and s.category == LIVE_SEND)
         expected_sends = cycle_result.n_messages - 1
         if sends != expected_sends:
             raise ValueError(
@@ -520,7 +564,7 @@ def live_attribution(timeline: LiveTimeline):
     n_procs = timeline.n_procs
     for index in sorted(timeline.committed):
         spans = by_cycle.get(index, [])
-        cycle_spans = [s for s in spans if s.category == LIVE_CYCLE]
+        cycle_spans = [s for s in spans if s.category == CAT_CYCLE]
         if cycle_spans:
             makespan_us = max(s.duration_us for s in cycle_spans)
         elif spans:
@@ -535,7 +579,7 @@ def live_attribution(timeline: LiveTimeline):
         for actor in range(n_procs):
             busy = 0.0
             for span in spans:
-                if span.actor != actor:
+                if span.proc != actor:
                     continue
                 if span.category in (LIVE_MATCH, LIVE_SEND):
                     busy += span.duration_us
@@ -594,7 +638,7 @@ def dump_flight(collector: LiveTraceCollector, reason: str,
     Called automatically by the traced executors when a run dies with
     a typed :class:`~repro.exec.errors.ExecutorError`; the first line
     is a header object (trace, reason, committed map, drop counts),
-    each following line one span in the :func:`live_jsonl` shape.
+    each following line one span in the :func:`timeline_jsonl` shape.
     Returns the written path.
     """
     timeline = collector.build(committed_only=False)
@@ -611,7 +655,8 @@ def dump_flight(collector: LiveTraceCollector, reason: str,
             "dropped": timeline.dropped,
         }
         stream.write(json.dumps(header, separators=(",", ":")) + "\n")
-        write_live_jsonl(timeline, stream)
+        for line in timeline_jsonl(timeline):
+            stream.write(line + "\n")
     from . import get_registry
     get_registry().counter("trace_live.dumps").inc()
     return path

@@ -6,19 +6,17 @@ produces reconcile exactly with the aggregate counters — per-processor
 busy sums, control busy, network busy, and the makespan.
 """
 
-import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mpc import (FaultModel, OverheadModel, ProtocolModel,
-                       RunConfig, StallWindow, TimelineRecorder,
-                       chrome_trace, gantt, gantt_section, simulate,
-                       simulate_config, timeline_jsonl,
-                       write_chrome_trace)
+                       RunConfig, StallWindow, TimelineRecorder, gantt,
+                       gantt_section, simulate, simulate_config)
 from repro.mpc.costmodel import TABLE_5_1
-from repro.mpc.timeline import CONTROL, NETWORK, CATEGORIES
+from repro.mpc.timeline import CATEGORIES
+from repro.obs.trace import CAT_CYCLE, CONTROL, NETWORK
 from repro.workloads import weaver_section
 
 from tests.test_simulator_properties import random_traces
@@ -156,29 +154,6 @@ def test_recorder_never_changes_fault_results(trace, n_procs, loss):
 
 
 class TestExports:
-    def test_chrome_trace_round_trips(self, weaver, tmp_path):
-        _, timeline = recorded(weaver, 4, overheads=OV16)
-        path = tmp_path / "trace.json"
-        write_chrome_trace(timeline, path)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data == chrome_trace(timeline)
-
-    def test_chrome_trace_schema(self, weaver):
-        _, timeline = recorded(weaver, 4, overheads=OV16)
-        data = chrome_trace(timeline)
-        events = data["traceEvents"]
-        assert isinstance(events, list) and events
-        names = {e["name"] for e in events if e["ph"] == "M"}
-        assert "process_name" in names and "thread_name" in names
-        for event in events:
-            assert event["ph"] in ("M", "X")
-            if event["ph"] == "X":
-                assert event["ts"] >= 0 and event["dur"] >= 0
-                assert isinstance(event["tid"], int)
-                # every duration event names a known category or cycle
-                assert event["cat"] == "cycle" or \
-                    event["name"] in CATEGORIES
-
     def test_chrome_trace_cycles_do_not_overlap(self, weaver):
         _, timeline = recorded(weaver, 4, overheads=OV16)
         offsets = timeline.cycle_offsets_us()
@@ -187,14 +162,21 @@ class TestExports:
                 assert offset + span.end_us <= \
                     offset + cycle.makespan_us + 1e-9
 
-    def test_jsonl_lines_parse(self, weaver):
+    def test_section_spans_lay_cycles_end_to_end(self, weaver):
         _, timeline = recorded(weaver, 4, overheads=OV16)
-        lines = list(timeline_jsonl(timeline))
-        assert len(lines) == sum(len(c.spans) for c in timeline.cycles)
-        for line in lines:
-            record = json.loads(line)
-            assert record["category"] in CATEGORIES
-            assert record["end_us"] >= record["start_us"]
+        spans = list(timeline.section_spans())
+        cycles = [s for s in spans if s.category == CAT_CYCLE]
+        assert [s.cycle for s in cycles] == \
+            [c.index for c in timeline.cycles]
+        assert [s.start_us for s in cycles] == timeline.cycle_offsets_us()
+        assert cycles[-1].end_us == timeline.total_us
+        assert len(spans) - len(cycles) == \
+            sum(len(c.spans) for c in timeline.cycles)
+        for cycle_span in cycles:
+            inside = [s for s in spans if s.cycle == cycle_span.cycle
+                      and s is not cycle_span]
+            assert all(cycle_span.start_us <= s.start_us
+                       and s.end_us <= cycle_span.end_us for s in inside)
 
     def test_gantt_smoke(self, weaver):
         _, timeline = recorded(weaver, 4, overheads=OV16)

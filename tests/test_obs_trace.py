@@ -12,8 +12,9 @@ What :mod:`repro.obs.trace` claims (and these tests pin):
 * under chaos restarts only the committed generation's spans survive
   the merge, and the coordinator's restart/replay spans reconcile with
   the ``supervise.*`` counters;
-* exports mirror the simulator's ``repro profile`` formats, and a
-  typed executor failure leaves a post-mortem flight dump behind.
+* one Chrome / JSONL exporter serves the simulator's recorded timeline
+  and the live one alike — same rows, same JSONL keys — and a typed
+  executor failure leaves a post-mortem flight dump behind.
 """
 
 import json
@@ -22,14 +23,16 @@ import pytest
 
 from repro.exec import (ActorExecutor, ChaosPolicy, RestartsExhausted,
                         match_signature, run)
-from repro.mpc import TABLE_5_1, RunConfig, SupervisePolicy
+from repro.mpc import (CATEGORIES, TABLE_5_1, RunConfig, SupervisePolicy,
+                       TimelineRecorder, simulate_config)
 from repro.obs import get_registry
-from repro.obs.trace import (CONTROL, LIVE_BARRIER, LIVE_CYCLE,
-                             LIVE_MATCH, LIVE_REPLAY, LIVE_RESTART,
-                             LIVE_SEND, FlightRecorder,
-                             LiveTraceCollector, chrome_trace_live,
+from repro.obs.trace import (CAT_CYCLE, CONTROL, LIVE_BARRIER,
+                             LIVE_CATEGORIES, LIVE_MATCH, LIVE_REPLAY,
+                             LIVE_RESTART, LIVE_SEND, FlightRecorder,
+                             LiveTraceCollector, chrome_trace,
                              dump_flight, live_attribution,
-                             live_jsonl, reconcile_live)
+                             reconcile_live, timeline_jsonl,
+                             write_chrome_trace, write_timeline_jsonl)
 from repro.workloads.generator import SectionSpec, generate_section
 
 OV8 = next(o for o in TABLE_5_1 if o.total_us == 8)
@@ -97,7 +100,7 @@ class TestClockAlignment:
         collector.add_drain(recorder.drain())
         collector.commit(0, 0)
         timeline = collector.build()
-        span = [s for s in timeline.spans if s.actor == 0][0]
+        span = [s for s in timeline.spans if s.proc == 0][0]
         # Same-pid recorders share the perf clock: exact placement on
         # the axis whose origin is the collector's own recorder.
         assert span.start_us == pytest.approx(0.25e6)
@@ -114,7 +117,7 @@ class TestClockAlignment:
         collector.add_drain(drain)
         collector.commit(0, 0)
         timeline = collector.build()
-        span = [s for s in timeline.spans if s.actor == 0][0]
+        span = [s for s in timeline.spans if s.proc == 0][0]
         assert span.start_us == pytest.approx(1.25e6, rel=1e-6)
         assert span.duration_us == pytest.approx(0.5e6)
 
@@ -126,10 +129,10 @@ class TestClockAlignment:
             collector.add_drain(recorder.drain())
         collector.commit(0, 1)
         committed = collector.build()
-        actor_spans = [s for s in committed.spans if s.actor == 0]
+        actor_spans = [s for s in committed.spans if s.proc == 0]
         assert [s.generation for s in actor_spans] == [1]
         everything = collector.build(committed_only=False)
-        assert len([s for s in everything.spans if s.actor == 0]) == 2
+        assert len([s for s in everything.spans if s.proc == 0]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +158,15 @@ class TestTracedRuns:
         config = RunConfig(n_procs=4, overheads=OV8)
         timeline = traced_run(small, config).live
         categories = {s.category for s in timeline.spans}
-        assert {LIVE_CYCLE, LIVE_MATCH, LIVE_SEND,
+        assert {CAT_CYCLE, LIVE_MATCH, LIVE_SEND,
                 LIVE_BARRIER} <= categories
         assert sorted(timeline.committed) \
             == [c.index for c in small.cycles]
         # One coordinator cycle span per committed cycle.
         cycle_spans = [s for s in timeline.spans
-                       if s.category == LIVE_CYCLE]
+                       if s.category == CAT_CYCLE]
         assert len(cycle_spans) == len(small.cycles)
-        assert all(s.actor == CONTROL for s in cycle_spans)
+        assert all(s.proc == CONTROL for s in cycle_spans)
 
     def test_reconcile_rejects_tampered_counts(self, small):
         config = RunConfig(n_procs=2, overheads=OV8)
@@ -209,7 +212,7 @@ class TestSupervisedTracing:
         restart_spans = [s for s in timeline.spans
                          if s.category == LIVE_RESTART]
         assert len(restart_spans) == restarts
-        assert all(s.actor == CONTROL for s in restart_spans)
+        assert all(s.proc == CONTROL for s in restart_spans)
         # A one-shot kill fails only the first attempt, so no failed
         # *replay* windows exist (those are pinned by the persistent-
         # kill dump test below).
@@ -218,7 +221,7 @@ class TestSupervisedTracing:
         # Only the surviving generation's actor spans are merged.
         for index, generation in timeline.committed.items():
             for span in timeline.spans:
-                if span.cycle == index and span.actor != CONTROL:
+                if span.cycle == index and span.proc != CONTROL:
                     assert span.generation == generation
         reconcile_live(timeline, outcome.result)
         sim_sig = match_signature(run(small, config, backend="sim"))
@@ -272,29 +275,83 @@ class TestLiveAttribution:
             assert sum(shares.values()) == pytest.approx(1.0)
 
 
+def timeline_of(kind, trace, config):
+    """The simulator's recorded or the live traced timeline of one run."""
+    if kind == "live":
+        return traced_run(trace, config).live
+    recorder = TimelineRecorder()
+    simulate_config(trace, config.replace(recorder=recorder))
+    return recorder.timeline
+
+
+def thread_rows(payload):
+    return sorted((e["tid"], e["args"]["name"])
+                  for e in payload["traceEvents"]
+                  if e["name"] == "thread_name")
+
+
+#: The keys of every JSONL line, from either timeline.
+JSONL_KEYS = {"trace", "cycle", "proc", "category", "start_us", "end_us",
+              "act_id", "busy", "n", "src", "wait_us", "busy_us",
+              "generation"}
+
+
+@pytest.fixture(scope="module", params=["sim", "live"])
+def exported(request, small):
+    return timeline_of(request.param, small,
+                       RunConfig(n_procs=2, overheads=OV8))
+
+
 class TestExport:
-    def test_chrome_trace_layout(self, small):
-        config = RunConfig(n_procs=2, overheads=OV8)
-        timeline = traced_run(small, config).live
-        payload = chrome_trace_live(timeline)
+    def test_chrome_trace_layout(self, exported):
+        payload = chrome_trace(exported)
         events = payload["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
-        # process_name + one thread_name per row (control + actors).
-        assert len(meta) == 1 + 1 + timeline.n_procs
-        assert len(spans) == len(timeline.spans)
-        names = {e["args"]["name"] for e in meta
-                 if e["name"] == "thread_name"}
-        assert names == {"control", "actor 0", "actor 1"}
-        assert all(e["dur"] >= 0 for e in spans)
-        assert payload["otherData"]["transport"] == "asyncio"
+        # process_name + one thread_name per row of the one scheme.
+        assert len(meta) == 1 + len(thread_rows(payload))
+        assert thread_rows(payload) == [
+            (0, "control"), (1, "proc 0"), (2, "proc 1"), (3, "network")]
+        assert len(spans) == len(list(exported.section_spans()))
+        for event in spans:
+            assert event["dur"] >= 0 and isinstance(event["tid"], int)
+            assert event["cat"] in CATEGORIES + LIVE_CATEGORIES
+            if event["cat"] == CAT_CYCLE:
+                assert event["tid"] == 0
+                assert event["name"] == f"cycle {event['args']['cycle']}"
+        assert payload["otherData"]["trace"] == exported.trace_name
+        assert payload["otherData"]["n_procs"] == 2
 
-    def test_jsonl_mirrors_spans(self, small):
-        config = RunConfig(n_procs=2, overheads=OV8)
-        timeline = traced_run(small, config).live
-        lines = list(live_jsonl(timeline))
-        assert len(lines) == len(timeline.spans)
-        first = json.loads(lines[0])
-        assert first["trace"] == timeline.trace_name
-        assert {"cycle", "proc", "category", "start_us", "end_us",
-                "wait_us", "generation"} <= set(first)
+    def test_chrome_trace_round_trips(self, exported, tmp_path):
+        path = tmp_path / "trace.json"
+        n_events = write_chrome_trace(exported, path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data == chrome_trace(exported)
+        assert n_events == len(data["traceEvents"])
+
+    def test_jsonl_mirrors_spans(self, exported, tmp_path):
+        lines = list(timeline_jsonl(exported))
+        assert len(lines) == len(list(exported.section_spans()))
+        for line in lines:
+            record = json.loads(line)
+            assert set(record) == JSONL_KEYS
+            assert record["trace"] == exported.trace_name
+            assert record["end_us"] >= record["start_us"]
+        path = tmp_path / "spans.jsonl"
+        assert write_timeline_jsonl(exported, path) == len(lines)
+        assert path.read_text(encoding="utf-8").splitlines() == lines
+
+    def test_sim_and_live_export_the_same_rows(self, small):
+        """A simulated and a live run of one section at P=4 open side
+        by side: identical Chrome thread rows, identical JSONL keys."""
+        config = RunConfig(n_procs=4, overheads=OV8)
+        sim, live = (timeline_of(kind, small, config)
+                     for kind in ("sim", "live"))
+        rows = thread_rows(chrome_trace(sim))
+        assert rows == thread_rows(chrome_trace(live))
+        assert rows == [(0, "control")] \
+            + [(p + 1, f"proc {p}") for p in range(4)] + [(5, "network")]
+        keys = {frozenset(json.loads(line))
+                for timeline in (sim, live)
+                for line in timeline_jsonl(timeline)}
+        assert keys == {frozenset(JSONL_KEYS)}
