@@ -42,9 +42,12 @@ WORKLOADS = {
                                            n_resources=7),
 }
 
-#: The tentpole acceptance bar: the kernel must at least double rubik
-#: match throughput over the reference engine.
+#: Acceptance bars: the kernel must at least double match throughput
+#: over the reference engine on rubik (vectorized alpha path, no
+#: residual tests) and on tourney (residual predicate tests on every
+#: join probe, compiled by ``rete/predicates.py``).
 RUBIK_MIN_SPEEDUP = 2.0
+TOURNEY_MIN_SPEEDUP = 2.0
 
 #: n -> 2n wall-time ratio bound for the adversarial cross-product.
 #: The workload is Theta(n^2), so the ideal ratio is 4; the bound
@@ -163,6 +166,10 @@ def test_match_throughput(benchmark, report):
     assert rubik["speedup"] >= RUBIK_MIN_SPEEDUP, (
         f"rubik match speedup {rubik['speedup']}x is below the "
         f"{RUBIK_MIN_SPEEDUP}x acceptance bar")
+    tourney = throughput["tourney"]
+    assert tourney["speedup"] >= TOURNEY_MIN_SPEEDUP, (
+        f"tourney match speedup {tourney['speedup']}x is below the "
+        f"{TOURNEY_MIN_SPEEDUP}x acceptance bar")
 
 
 def test_adversarial_cross_product_stays_quadratic(benchmark, report):

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, Optional, Tuple
 
 from .ast import Production
@@ -47,7 +49,42 @@ class Instantiation:
 
     def key(self) -> Tuple[str, Tuple[int, ...]]:
         """Identity for refraction: production name + matched wme ids."""
+        return self._key
+
+    # An instantiation stays in the conflict set across cycles and every
+    # input of these keys is immutable, so each is computed once, on
+    # first use, and cached on the instance.
+
+    @cached_property
+    def _key(self) -> Tuple[str, Tuple[int, ...]]:
         return (self.production.name, tuple(w.wme_id for w in self.wmes))
+
+    @cached_property
+    def lex_key(self) -> Tuple:
+        """Sort key such that max() picks the LEX winner deterministically.
+
+        Later elements break ties: recency sequence, then (sequence
+        length — OPS5 prefers the instantiation with *more* time tags
+        when one sequence is a prefix of the other), then specificity,
+        then a stable arbitrary order (production name / wme ids,
+        inverted so that max() still yields a deterministic result).
+        """
+        stamps = self.timestamps_desc()
+        return (
+            stamps,
+            len(stamps),
+            self.production.specificity(),
+            # Deterministic final tie-break; negate nothing — names
+            # sort fine.
+            self.production.name,
+            tuple(-w.wme_id for w in self.wmes),
+        )
+
+    @cached_property
+    def mea_key(self) -> Tuple:
+        """MEA: recency of the first-CE wme dominates, then LEX ordering."""
+        first = self.wmes[0].timestamp if self.wmes else -1
+        return (first,) + self.lex_key
 
     def timestamps_desc(self) -> Tuple[int, ...]:
         """Matched wme time tags, most recent first (the LEX sort key)."""
@@ -77,34 +114,8 @@ class Strategy(enum.Enum):
     MEA = "mea"
 
 
-def _lex_sort_key(inst: Instantiation) -> Tuple:
-    """Sort key such that max() picks the LEX winner deterministically.
-
-    Later elements break ties: recency sequence, then (sequence length —
-    OPS5 prefers the instantiation with *more* time tags when one
-    sequence is a prefix of the other), then specificity, then a stable
-    arbitrary order (production name / wme ids, inverted so that max()
-    still yields a deterministic result).
-    """
-    stamps = inst.timestamps_desc()
-    return (
-        stamps,
-        len(stamps),
-        inst.production.specificity(),
-        # Deterministic final tie-break; negate nothing — names sort fine.
-        inst.production.name,
-        tuple(-w.wme_id for w in inst.wmes),
-    )
-
-
-def _mea_sort_key(inst: Instantiation) -> Tuple:
-    """MEA: recency of the first-CE wme dominates, then LEX ordering."""
-    first = inst.wmes[0].timestamp if inst.wmes else -1
-    return (first,) + _lex_sort_key(inst)
-
-
-def _padded_compare_key(stamps: Tuple[int, ...]) -> Tuple[int, ...]:
-    return stamps
+_LEX_KEY = attrgetter("lex_key")
+_MEA_KEY = attrgetter("mea_key")
 
 
 def select(conflict_set, strategy: Strategy = Strategy.LEX,
@@ -126,8 +137,8 @@ def select(conflict_set, strategy: Strategy = Strategy.LEX,
     (i.e. the program has quiesced).
     """
     fired = fired or set()
-    candidates = [inst for inst in conflict_set if inst.key() not in fired]
+    candidates = [inst for inst in conflict_set if inst._key not in fired]
     if not candidates:
         return None
-    key = _lex_sort_key if strategy is Strategy.LEX else _mea_sort_key
-    return max(candidates, key=key)
+    return max(candidates, key=_LEX_KEY if strategy is Strategy.LEX
+               else _MEA_KEY)

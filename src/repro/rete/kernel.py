@@ -18,6 +18,8 @@ and executes waves with an explicit stack machine:
   positions, residual tests, binding-merge plans, children), indexed by
   a compact integer.  Bucket state lives in
   :class:`~repro.rete.memory.FlatMemories`, keyed by bare value tuples.
+* **Tests** — residual, intra-CE and scalar constant — are plain
+  functions picked per predicate at compile time by :mod:`.predicates`.
 * **Tokens** are integer slots in a :class:`~repro.rete.tokens.TokenPool`
   — three parallel lists (ids, wmes, binding values) with free-list
   reuse — instead of per-match ``Token`` objects.  Binding *names* are
@@ -40,10 +42,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..ops5.ast import Constant, Predicate
 from ..ops5.conflict import Instantiation
+from ..ops5.values import NIL
 from ..ops5.wme import WME
 from .hashing import BucketKey, intern_value
 from .memory import FlatMemories
 from .nodes import JoinNode, NegativeNode, ProductionNode
+from .predicates import compile_constant_test, compile_predicate
 from .stats import ActivationEvent
 from .tokens import MINUS, PLUS, TokenPool
 
@@ -85,10 +89,15 @@ class _AlphaSlot:
 
     __slots__ = ("np_row", "const_tests", "intra_tests", "subs")
 
-    def __init__(self, const_tests, intra_tests) -> None:
+    def __init__(self, pattern) -> None:
         self.np_row = -1          # row in the class's vectorized block
-        self.const_tests = const_tests
-        self.intra_tests = intra_tests
+        #: (attr, test fn, expected): ``fn(wme value, expected)``
+        self.const_tests = tuple(
+            compile_constant_test(t) for t in pattern.const_tests)
+        #: (first attr, test fn, attr): ``fn(wme value, first value)``
+        self.intra_tests = tuple(
+            (first_attr, compile_predicate(pred), attr)
+            for first_attr, pred, attr in pattern.intra_tests)
         #: (compact node index, unit_attrs or None) — None means the
         #: subscription feeds the node's *right* input with the raw wme;
         #: a tuple of attributes means unit tokens on the left input.
@@ -164,7 +173,8 @@ class ReteKernel:
         self.children: List[Tuple[int, ...]] = [()] * n
         self.left_key_pos: List[Tuple[int, ...]] = [()] * n
         self.right_key_attrs: List[Tuple[str, ...]] = [()] * n
-        #: residual tests as (value index, predicate, wme attr)
+        #: residual tests as (value index, test fn, wme attr), run as
+        #: ``fn(wme value, token value)``
         self.residuals: List[Tuple] = [()] * n
         #: join output plans: (from_wme, index-or-attr) per output slot
         self.merge_plan: List[Tuple] = [()] * n
@@ -205,7 +215,7 @@ class ReteKernel:
             self.right_key_attrs[ci] = tuple(
                 attr for _, attr in node.eq_tests)
             self.residuals[ci] = tuple(
-                (layout.index(var), pred, attr)
+                (layout.index(var), compile_predicate(pred), attr)
                 for var, pred, attr in node.residual_tests)
             if isinstance(node, NegativeNode):
                 self.kind[ci] = KIND_NEGATIVE
@@ -247,7 +257,7 @@ class ReteKernel:
             if pattern.always_false:
                 continue  # can never match; no observable effect
             group = self._alpha.setdefault(pattern.cls, _AlphaGroup())
-            slot = _AlphaSlot(pattern.const_tests, pattern.intra_tests)
+            slot = _AlphaSlot(pattern)
             group.slots.append(slot)
             slot_of[pattern.pattern_id] = slot
             if self.np is not None and _numpy_eligible(pattern):
@@ -282,14 +292,13 @@ class ReteKernel:
         val_ids = group.val_ids
         for row, slot in enumerate(eligible):
             slot.np_row = row
-            for test in slot.const_tests:
-                if test.attr not in attr_idx:
-                    attr_idx[test.attr] = len(attrs)
-                    attrs.append(test.attr)
-                value = test.operand.value
+            for attr, _, value in slot.const_tests:
+                if attr not in attr_idx:
+                    attr_idx[attr] = len(attrs)
+                    attrs.append(attr)
                 vid = val_ids.setdefault(value, len(val_ids))
                 pat_rows.append(row)
-                test_attr.append(attr_idx[test.attr])
+                test_attr.append(attr_idx[attr])
                 test_val.append(vid)
         group.np_rows = len(eligible)
         group.np_attrs = tuple(attrs)
@@ -314,8 +323,9 @@ class ReteKernel:
         if group.np_rows:
             np = self.np
             val_ids = group.val_ids
+            get = wme.attrs.get
             encoded = [(-1 if type(v) is bool else val_ids.get(v, -1))
-                       for v in map(wme.get, group.np_attrs)]
+                       for v in [get(a, NIL) for a in group.np_attrs]]
             vals = np.asarray(encoded, dtype=np.int64)
             ok = np.ones(group.np_rows, dtype=bool)
             # A row fails when any of its tests mismatches; scatter
@@ -346,10 +356,11 @@ class ReteKernel:
                     else:
                         self._fast_right(ci, wme, tag, allocs)
                 else:
+                    get = wme.attrs.get
                     tok = pool.alloc(
                         (wme.wme_id,), (wme,),
-                        tuple(intern_value(wme.get(a))
-                              for a in unit_attrs))
+                        tuple([intern_value(get(a, NIL))
+                               for a in unit_attrs]))
                     allocs.append(tok)
                     if traced:
                         self._run_left(ci, tok, tag, allocs)
@@ -361,12 +372,12 @@ class ReteKernel:
 
     @staticmethod
     def _alpha_match(slot: _AlphaSlot, wme: WME) -> bool:
-        get = wme.get
-        for test in slot.const_tests:
-            if not test.evaluate_constant(get(test.attr)):
+        get = wme.attrs.get
+        for attr, test, expected in slot.const_tests:
+            if not test(get(attr, NIL), expected):
                 return False
-        for first_attr, predicate, attr in slot.intra_tests:
-            if not predicate.apply(get(attr), get(first_attr)):
+        for first_attr, test, attr in slot.intra_tests:
+            if not test(get(attr, NIL), get(first_attr, NIL)):
                 return False
         return True
 
@@ -441,8 +452,9 @@ class ReteKernel:
             if right and children:
                 residuals = self.residuals[ci]
                 for wme in right:
-                    for pos, pred, attr in residuals:
-                        if not pred.apply(wme.get(attr), values[pos]):
+                    get = wme.attrs.get
+                    for pos, test, attr in residuals:
+                        if not test(get(attr, NIL), values[pos]):
                             break
                     else:
                         ntok = self._extend(ci, tok, wme, allocs)
@@ -462,8 +474,9 @@ class ReteKernel:
             if right:
                 residuals = self.residuals[ci]
                 for wme in right:
-                    for pos, pred, attr in residuals:
-                        if not pred.apply(wme.get(attr), values[pos]):
+                    get = wme.attrs.get
+                    for pos, test, attr in residuals:
+                        if not test(get(attr, NIL), values[pos]):
                             break
                     else:
                         count += 1
@@ -479,8 +492,8 @@ class ReteKernel:
     def _enter_right(self, ci: int, wme: WME, tag: str,
                      allocs: List[int]):
         """Entry actions of one right (wme) activation at its node."""
-        get = wme.get
-        key = tuple(get(a) for a in self.right_key_attrs[ci])
+        get = wme.attrs.get
+        key = tuple([get(a, NIL) for a in self.right_key_attrs[ci]])
         rbuckets = self.memories.right[ci]
         if tag == PLUS:
             rbuckets.setdefault(key, []).append(wme)
@@ -505,8 +518,8 @@ class ReteKernel:
             if self.kind[ci] == KIND_JOIN:
                 for tok in left:
                     values = values_arr[tok]
-                    for pos, pred, attr in residuals:
-                        if not pred.apply(get(attr), values[pos]):
+                    for pos, test, attr in residuals:
+                        if not test(get(attr, NIL), values[pos]):
                             break
                     else:
                         if children:
@@ -518,8 +531,8 @@ class ReteKernel:
                 ids_arr = pool.ids
                 for tok in left:
                     values = values_arr[tok]
-                    for pos, pred, attr in residuals:
-                        if not pred.apply(get(attr), values[pos]):
+                    for pos, test, attr in residuals:
+                        if not test(get(attr, NIL), values[pos]):
                             break
                     else:
                         ids = ids_arr[tok]
@@ -543,8 +556,8 @@ class ReteKernel:
     def _fast_right(self, ci: int, wme: WME, tag: str,
                     allocs: List[int]) -> None:
         """Right activation with no observers: no events, lean walk."""
-        get = wme.get
-        key = tuple(get(a) for a in self.right_key_attrs[ci])
+        get = wme.attrs.get
+        key = tuple([get(a, NIL) for a in self.right_key_attrs[ci]])
         rbuckets = self.memories.right[ci]
         if tag == PLUS:
             bucket = rbuckets.get(key)
@@ -587,14 +600,14 @@ class ReteKernel:
                 plus = tag == PLUS
                 for tok in left:
                     values = values_arr[tok]
-                    for pos, pred, attr in residuals:
-                        if not pred.apply(get(attr), values[pos]):
+                    for pos, test, attr in residuals:
+                        if not test(get(attr, NIL), values[pos]):
                             break
                     else:
-                        nvalues = values if copy_vals else tuple(
-                            intern_value(get(src)) if from_wme
+                        nvalues = values if copy_vals else tuple([
+                            intern_value(get(src, NIL)) if from_wme
                             else values[src]
-                            for from_wme, src in plan)
+                            for from_wme, src in plan])
                         nids = ids_arr[tok] + wid
                         nwmes = wmes_arr[tok] + wtup
                         for tci in tchildren:
@@ -615,8 +628,8 @@ class ReteKernel:
             ids_arr = pool.ids
             for tok in left:
                 values = values_arr[tok]
-                for pos, pred, attr in residuals:
-                    if not pred.apply(get(attr), values[pos]):
+                for pos, test, attr in residuals:
+                    if not test(get(attr, NIL), values[pos]):
                         break
                 else:
                     ids = ids_arr[tok]
@@ -709,19 +722,19 @@ class ReteKernel:
                     wmes_tok = wmes_arr[tok]
                     plus = tag == PLUS
                     for wme in right:
-                        get = wme.get
+                        get = wme.attrs.get
                         if residuals:
                             matched = True
-                            for pos, pred, attr in residuals:
-                                if not pred.apply(get(attr), values[pos]):
+                            for pos, test, attr in residuals:
+                                if not test(get(attr, NIL), values[pos]):
                                     matched = False
                                     break
                             if not matched:
                                 continue
-                        nvalues = values if copy_vals else tuple(
-                            intern_value(get(src)) if from_wme
+                        nvalues = values if copy_vals else tuple([
+                            intern_value(get(src, NIL)) if from_wme
                             else values[src]
-                            for from_wme, src in plan)
+                            for from_wme, src in plan])
                         nids = ids_tok + (wme.wme_id,)
                         nwmes = wmes_tok + (wme,)
                         for tci in tchildren:
@@ -755,9 +768,9 @@ class ReteKernel:
                     residuals = residuals_arr[ci]
                     if residuals:
                         for wme in right:
-                            get = wme.get
-                            for pos, pred, attr in residuals:
-                                if not pred.apply(get(attr), values[pos]):
+                            get = wme.attrs.get
+                            for pos, test, attr in residuals:
+                                if not test(get(attr, NIL), values[pos]):
                                     break
                             else:
                                 count += 1
@@ -781,9 +794,10 @@ class ReteKernel:
         if self.copy_values[ci]:
             values = parent  # no new bindings: share the parent tuple
         else:
-            values = tuple(
-                intern_value(wme.get(src)) if from_wme else parent[src]
-                for from_wme, src in self.merge_plan[ci])
+            get = wme.attrs.get
+            values = tuple([
+                intern_value(get(src, NIL)) if from_wme else parent[src]
+                for from_wme, src in self.merge_plan[ci]])
         ntok = pool.alloc(pool.ids[tok] + (wme.wme_id,),
                           pool.wmes[tok] + (wme,), values)
         allocs.append(ntok)

@@ -23,7 +23,10 @@ from repro.ops5.wme import WME
 from repro.rete import ReferenceReteNetwork, ReteNetwork
 
 CLASSES = ["a", "b", "c"]
-VALUES = [1, 2, 3, "x", "y"]
+#: Exact ints, floats (``1.0`` equals ``1`` under OPS5 equality but is a
+#: different Python type) and symbols: every compiled test meets both
+#: its fast path and the ``Predicate.apply`` fallback.
+VALUES = [1, 2, 3, 1.0, 2.5, "x", "y"]
 
 wme_payloads = st.builds(
     dict,
@@ -46,6 +49,22 @@ PRODUCTION_SOURCES = [
     "(p selfjoin (a ^p <x>) (a ^q <x>) --> (remove 1))",
     "(p disj (a ^p << 1 x >>) --> (remove 1))",
     "(p doubleneg (a ^p <x>) -(b ^p <x>) -(c ^q <x>) --> (remove 1))",
+    # every predicate as a residual join test, a negated-CE residual
+    # and an intra-CE test
+    "(p ne (a ^p <x>) (b ^p <> <x>) --> (remove 1))",
+    "(p lt (a ^p <x>) (b ^q < <x>) --> (remove 1))",
+    "(p le (a ^p <x>) (c ^p <= <x>) --> (remove 1))",
+    "(p ge (a ^q <x>) (b ^p >= <x>) --> (remove 1))",
+    "(p same (a ^p <x>) (c ^q <=> <x>) --> (remove 1))",
+    "(p keyres (a ^p <x> ^q <y>) (b ^p <x> ^q <> <y>) --> (remove 1))",
+    "(p negne (a ^p <x>) -(c ^p <> <x>) --> (remove 1))",
+    "(p negle (b ^p <x>) -(a ^q <= <x>) --> (remove 1))",
+    "(p negsame (a ^q <x>) -(b ^p <=> <x>) --> (remove 1))",
+    "(p intrane (a ^p <x> ^q <> <x>) --> (remove 1))",
+    "(p intralt (b ^p <x> ^q < <x>) --> (remove 1))",
+    "(p intrage (c ^p <x> ^q >= <x>) --> (remove 1))",
+    "(p intrasame (a ^p <x> ^q <=> <x>) --> (remove 1))",
+    "(p constrel (b ^p >= 1.0 ^q <=> x) --> (remove 1))",
 ]
 
 #: A battery of EQ-constant patterns on one class, wide enough to
