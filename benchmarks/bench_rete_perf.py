@@ -6,7 +6,8 @@ and the flattened kernel (numpy on and off), and times the CORGI-style
 adversarial cross-product at two sizes to confirm cost stays quadratic
 in token count.  Every timed pair also cross-checks final conflict
 sets, so a kernel that got fast by getting wrong fails here before it
-fails anywhere else.
+fails anywhere else.  The same replays with a :class:`TraceRecorder`
+attached time the recording walk against the plain one.
 
 Results are written machine-readably to ``BENCH_rete.json`` at the repo
 root so the match-throughput trajectory is tracked across PRs.  Run::
@@ -24,6 +25,7 @@ import time
 
 from conftest import once
 from repro.rete import ReferenceReteNetwork, ReteNetwork, resolve_numpy
+from repro.trace import TraceRecorder
 from repro.workloads import (adversarial_cross_product,
                              record_match_deltas, replay_deltas,
                              rubik_match_program, tourney_match_program,
@@ -48,6 +50,11 @@ WORKLOADS = {
 #: join probe, compiled by ``rete/predicates.py``).
 RUBIK_MIN_SPEEDUP = 2.0
 TOURNEY_MIN_SPEEDUP = 2.0
+
+#: Recording the Figure 4-1 trace (the kernel's walk appending one row
+#: per activation) may cost at most this multiple of the plain replay
+#: on tourney, the join-heavy workload where recording costs most.
+RECORD_MAX_RATIO = 1.5
 
 #: n -> 2n wall-time ratio bound for the adversarial cross-product.
 #: The workload is Theta(n^2), so the ideal ratio is 4; the bound
@@ -105,6 +112,12 @@ def _time_replays(factories, script, repeats: int = 5):
     return best, signatures
 
 
+def _recording_network() -> ReteNetwork:
+    network = ReteNetwork()
+    TraceRecorder(network)  # sets network.sink, which keeps the rows
+    return network
+
+
 def _machine() -> dict:
     return {"cpus": os.cpu_count(), "platform": platform.platform(),
             "python": platform.python_version()}
@@ -120,7 +133,8 @@ def test_match_throughput(benchmark, report):
     }
     lines = ["Rete match throughput: flattened kernel vs reference",
              f"{'workload':<9} {'waves':>6} {'ref':>9} {'fast':>9} "
-             f"{'speedup':>8} {'no-numpy':>9} {'speedup':>8}"]
+             f"{'speedup':>8} {'no-numpy':>9} {'speedup':>8} "
+             f"{'recorded':>9} {'rec/plain':>9}"]
 
     def _measure():
         throughput = {}
@@ -128,12 +142,14 @@ def test_match_throughput(benchmark, report):
             script = record_match_deltas(make_source())
             assert script.halted, f"{name} did not halt"
             waves = script.wave_count()
-            (ref_s, fast_s, plain_s), (ref_sig, fast_sig, plain_sig) = \
-                _time_replays((ReferenceReteNetwork, ReteNetwork,
-                               lambda: ReteNetwork(use_numpy=False)),
-                              script)
+            (ref_s, fast_s, plain_s, rec_s), \
+                (ref_sig, fast_sig, plain_sig, rec_sig) = _time_replays(
+                    (ReferenceReteNetwork, ReteNetwork,
+                     lambda: ReteNetwork(use_numpy=False),
+                     _recording_network), script)
             assert fast_sig == ref_sig, f"{name}: fast diverged"
             assert plain_sig == ref_sig, f"{name}: no-numpy diverged"
+            assert rec_sig == ref_sig, f"{name}: recording diverged"
             probe = ReteNetwork()
             replay_deltas(probe, script.program, script.deltas)
             throughput[name] = {
@@ -142,8 +158,10 @@ def test_match_throughput(benchmark, report):
                 "reference_s": round(ref_s, 5),
                 "fast_s": round(fast_s, 5),
                 "fast_no_numpy_s": round(plain_s, 5),
+                "recorded_s": round(rec_s, 5),
                 "speedup": round(ref_s / fast_s, 2),
                 "speedup_no_numpy": round(ref_s / plain_s, 2),
+                "record_over_plain": round(rec_s / fast_s, 2),
                 "fast_waves_per_s": round(waves / fast_s),
                 "reference_waves_per_s": round(waves / ref_s),
                 "numpy_engaged": probe.kernel.numpy_engaged,
@@ -153,7 +171,9 @@ def test_match_throughput(benchmark, report):
                 f"{name:<9} {waves:>6} {ref_s * 1e3:>7.1f}ms "
                 f"{fast_s * 1e3:>7.1f}ms {row['speedup']:>7.2f}x "
                 f"{plain_s * 1e3:>7.1f}ms "
-                f"{row['speedup_no_numpy']:>7.2f}x")
+                f"{row['speedup_no_numpy']:>7.2f}x "
+                f"{rec_s * 1e3:>7.1f}ms "
+                f"{row['record_over_plain']:>8.2f}x")
         return throughput
 
     throughput = once(benchmark, _measure)
@@ -170,6 +190,10 @@ def test_match_throughput(benchmark, report):
     assert tourney["speedup"] >= TOURNEY_MIN_SPEEDUP, (
         f"tourney match speedup {tourney['speedup']}x is below the "
         f"{TOURNEY_MIN_SPEEDUP}x acceptance bar")
+    assert tourney["record_over_plain"] <= RECORD_MAX_RATIO, (
+        f"recording the tourney trace costs "
+        f"{tourney['record_over_plain']}x the plain replay, above the "
+        f"{RECORD_MAX_RATIO}x bound")
 
 
 def test_adversarial_cross_product_stays_quadratic(benchmark, report):

@@ -109,6 +109,7 @@ from ..trace import cache as trace_cache
 from ..trace.cache import cached_trace, trace_key
 from ..trace.events import SectionTrace
 from ..trace.format import dumps_trace
+from ..trace.recorder import TraceRecorder
 from .generate import CheckCase, ProgramCase, TraceCase
 
 #: Timing fields compared by ``protocol_zero_fault`` (counter fields —
@@ -524,22 +525,22 @@ def _event_tuple(event):
 def rete_fast_vs_reference(case: ProgramCase) -> Optional[str]:
     """Pin the flattened kernel to the preserved object-dispatch engine.
 
-    Three engines run the same churn script: the reference network and
-    the kernel with an observer attached (exercising the traced stack
-    machine, which must reproduce the reference's activation-event
-    stream *bit for bit* — ids, parents, keys, successor counts), and
-    an unobserved kernel with the vectorized alpha path disabled
-    (exercising the untraced fast walk and the pure-Python fallback).
+    Three engines run the same churn script: the reference network with
+    an event observer, the kernel with a :class:`TraceRecorder` (its
+    one walk in recording mode, whose rows must reproduce the
+    reference's activation-event stream *bit for bit* — ids, parents,
+    nodes, sides, tags, keys, successor counts and delivery order), and
+    an unrecorded kernel with the vectorized alpha path disabled
+    (exercising the untraced walk and the pure-Python fallback).
     Conflict sets are compared after every delta; memory totals and the
-    event streams are compared at the end.
+    activation streams are compared at the end.
     """
     reference = ReferenceReteNetwork()
     fast = ReteNetwork()
     plain = ReteNetwork(use_numpy=False)
     ref_events: List = []
-    fast_events: List = []
     reference.observers.append(ref_events.append)
-    fast.observers.append(fast_events.append)
+    recorder = TraceRecorder(fast)
     engines = (reference, fast, plain)
     for source in case.rules:
         production = parse_production(source)
@@ -566,6 +567,10 @@ def rete_fast_vs_reference(case: ProgramCase) -> Optional[str]:
         if _conflict_signature(plain) != want:
             return (f"no-numpy kernel conflict set diverged after step "
                     f"{step} ({op[0]} wme {op[1]})")
+    rows = recorder.rows
+    if any(a[0] >= b[0] for a, b in zip(rows, rows[1:])):
+        return "recorded rows are not in ascending act-id order"
+    fast_events = recorder.events()
     if len(ref_events) != len(fast_events):
         return (f"event stream lengths diverged: reference "
                 f"{len(ref_events)}, fast {len(fast_events)}")

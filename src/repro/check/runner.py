@@ -48,8 +48,9 @@ class CheckFailure:
 
     def describe(self) -> str:
         names = ", ".join(name for name, _ in self.checks)
+        family = self.case.get("family", self.case["kind"])
         return (f"case {self.case['index']} (seed {self.case['seed']}, "
-                f"{self.case['family']}): {names}")
+                f"{family}): {names}")
 
 
 @dataclass

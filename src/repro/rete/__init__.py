@@ -10,8 +10,10 @@ The central class is :class:`ReteNetwork`, a drop-in
     interp.load_program(parse_program(source))
     interp.run()
 
-Attach an observer to ``network.observers`` to see every two-input node
-activation — that is how :mod:`repro.trace` records simulator input.
+Attach a :class:`~repro.trace.recorder.TraceRecorder` to see every
+two-input and terminal node activation — it sets ``network.sink`` to a
+list the kernel appends one row per activation to, which is how
+:mod:`repro.trace` records simulator input.
 """
 
 from .builder import CEAnalysis, NetworkBuilder, analyze_ce

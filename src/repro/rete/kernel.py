@@ -6,7 +6,7 @@ is a Python method call, each token an immutable :class:`Token`
 allocation, and each alpha test a scan over every pattern in the
 network.  This module compiles the same network — built by the ordinary
 :class:`~repro.rete.builder.NetworkBuilder` — into flat parallel arrays
-and executes waves with an explicit stack machine:
+and executes waves with an explicit LIFO work stack:
 
 * **Alpha dispatch** is indexed by wme class: only the patterns that
   could possibly match are tested, as tuple-compare loops over the
@@ -27,12 +27,14 @@ and executes waves with an explicit stack machine:
   carries only a value tuple and variable lookups are index reads.
 
 The executor replicates the reference engine's observable behaviour bit
-for bit: activation events get their ``act_id`` in the reference's
-pre-order (assigned when an activation *starts*) and are delivered to
-observers in its post-order (when the activation's subtree finishes),
-conflict sets preserve terminal/insertion order, and memory buckets are
-deleted when they empty.  The ``rete_fast_vs_reference`` conformance
-oracle and the differential fuzz suite pin this equivalence.
+for bit: conflict sets preserve terminal/insertion order and memory
+buckets are deleted when they empty.  When the network has a ``sink``
+(a :class:`~repro.trace.recorder.TraceRecorder` sets one), the same
+walk appends one flat row per activation, in the reference's pre-order
+with the reference's act ids — the Figure 4-1 trace without any
+per-activation event object.  The ``rete_fast_vs_reference``
+conformance oracle and the differential fuzz suite pin this
+equivalence.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ from ..ops5.ast import Constant, Predicate
 from ..ops5.conflict import Instantiation
 from ..ops5.values import NIL
 from ..ops5.wme import WME
-from .hashing import BucketKey, intern_value
+from .hashing import intern_value
 from .memory import FlatMemories
 from .nodes import JoinNode, NegativeNode, ProductionNode
 from .predicates import compile_constant_test, compile_predicate
-from .stats import ActivationEvent
 from .tokens import MINUS, PLUS, TokenPool
 
 #: Compiled node kinds (values of ``ReteKernel.kind``).
@@ -117,9 +118,9 @@ class _AlphaGroup:
         self.np_pat = None        # test -> pattern row
         self.np_attr_idx = None   # test -> index into np_attrs
         self.np_val = None        # test -> expected value id
-        #: the untraced fast path visits only nonzero ok-rows, so the
+        #: the untraced path visits only nonzero ok-rows, so the
         #: vectorized and scalar slots are also kept split by row order
-        #: (the traced path walks ``slots`` to preserve event order).
+        #: (recording walks ``slots`` to keep the reference's order).
         self.np_slots: List[_AlphaSlot] = []
         self.py_slots: List[_AlphaSlot] = []
         self.val_ids: Dict[Any, int] = {}
@@ -247,6 +248,11 @@ class ReteKernel:
         self.beta_children: List[Tuple[int, ...]] = [
             tuple(c for c in self.children[ci]
                   if self.kind[c] != KIND_TERMINAL) for ci in range(n)]
+        # Recording numbers activations in the reference's pre-order,
+        # so it delivers nothing inline and pushes children reversed.
+        self.rev_children: List[Tuple[int, ...]] = [
+            kids[::-1] for kids in self.children]
+        self.no_children: List[Tuple[int, ...]] = [()] * n
 
         self.memories = FlatMemories(n)
 
@@ -312,13 +318,17 @@ class ReteKernel:
     # -- wave execution -----------------------------------------------------
 
     def dispatch(self, wme: WME, tag: str) -> None:
-        """Run one +/- wave: alpha match, then beta propagation."""
+        """Run one +/- wave: alpha match, then beta propagation.
+
+        When the network has a ``sink`` list, every activation of the
+        wave is also appended to it as a row (see :meth:`_walk`).
+        """
         group = self._alpha.get(wme.cls)
         if group is None:
             return
         pool = self.pool
         allocs: List[int] = []
-        traced = bool(self.net.observers)
+        sink = self.net.sink
         alpha_match = self._alpha_match
         if group.np_rows:
             np = self.np
@@ -333,11 +343,12 @@ class ReteKernel:
             # logical_and.at, far cheaper per wave).
             ok[group.np_pat[vals[group.np_attr_idx] != group.np_val]] \
                 = False
-            if traced:
-                # Event order must match the reference engine exactly,
-                # so walk every slot in registration order.
+            if sink is not None:
+                # Rows must come in the reference engine's activation
+                # order, so walk every slot in registration order.
+                hits = ok.tolist()
                 matched = [s for s in group.slots
-                           if (ok[s.np_row] if s.np_row >= 0
+                           if (hits[s.np_row] if s.np_row >= 0
                                else alpha_match(s, wme))]
             else:
                 # Untraced final state is wave-order independent, so
@@ -351,10 +362,7 @@ class ReteKernel:
         for slot in matched:
             for ci, unit_attrs in slot.subs:
                 if unit_attrs is None:
-                    if traced:
-                        self._run_right(ci, wme, tag, allocs)
-                    else:
-                        self._fast_right(ci, wme, tag, allocs)
+                    self._right(ci, wme, tag, allocs, sink)
                 else:
                     get = wme.attrs.get
                     tok = pool.alloc(
@@ -362,10 +370,7 @@ class ReteKernel:
                         tuple([intern_value(get(a, NIL))
                                for a in unit_attrs]))
                     allocs.append(tok)
-                    if traced:
-                        self._run_left(ci, tok, tag, allocs)
-                    else:
-                        self._walk_fast([(ci, tok, tag)], allocs)
+                    self._walk([(ci, tok, tag, None)], allocs, sink)
         release = pool.release_if_unused
         for idx in allocs:
             release(idx)
@@ -381,181 +386,14 @@ class ReteKernel:
                 return False
         return True
 
-    def _run_left(self, ci: int, tok: int, tag: str,
-                  allocs: List[int]) -> None:
-        self._drain(self._enter_left(ci, tok, tag, None, allocs), allocs)
+    def _right(self, ci: int, wme: WME, tag: str, allocs: List[int],
+               sink: Optional[list]) -> None:
+        """One root right (wme) activation, then its left descendants.
 
-    def _run_right(self, ci: int, wme: WME, tag: str,
-                   allocs: List[int]) -> None:
-        self._drain(self._enter_right(ci, wme, tag, allocs), allocs)
-
-    def _drain(self, root_frame, allocs: List[int]) -> None:
-        """The stack machine replacing recursive node dispatch.
-
-        Each frame is ``[event, items, pos]``: the activation's (already
-        emitted) event and its precomputed successor list.  Pushing a
-        child frame performs the child's entry actions — memory update
-        plus event-id assignment, the reference engine's pre-order — and
-        popping delivers the event to observers, its post-order.
-        Precomputing ``items`` at entry is safe because the network is a
-        DAG: a node's buckets are only mutated by its *own* activations,
-        and the descent below an item only reaches strict descendants.
+        Store the wme, probe the node's left bucket and hand the
+        resulting left activations to :meth:`_walk`, under the same
+        recording rules.
         """
-        enter = self._enter_left
-        finish = self._finish
-        stack = [root_frame]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            frame = stack[-1]
-            items = frame[1]
-            pos = frame[2]
-            if pos < len(items):
-                frame[2] = pos + 1
-                cci, ctok, ctag = items[pos]
-                push(enter(cci, ctok, ctag, frame[0], allocs))
-            else:
-                finish(frame[0], len(items))
-                pop()
-
-    def _enter_left(self, ci: int, tok: int, tag: str,
-                    parent_ev, allocs: List[int]):
-        """Entry actions of one left activation; returns its frame."""
-        pool = self.pool
-        kind = self.kind[ci]
-        if kind == KIND_TERMINAL:
-            ev = self._emit(ci, "left", tag, (), parent_ev)
-            insts = self.term_insts[ci]
-            ids = pool.ids[tok]
-            if tag == PLUS:
-                insts[ids] = Instantiation(
-                    production=self.term_prod[ci], wmes=pool.wmes[tok],
-                    bindings=dict(zip(self.term_names[ci],
-                                      pool.values[tok])))
-            else:
-                insts.pop(ids, None)
-            return [ev, (), 0]
-
-        values = pool.values[tok]
-        key = tuple(values[p] for p in self.left_key_pos[ci])
-        buckets = self.memories.left[ci]
-        items: List[Tuple[int, int, str]] = []
-        children = self.children[ci]
-        if kind == KIND_JOIN:
-            if tag == PLUS:
-                buckets.setdefault(key, []).append(tok)
-                pool.retain(tok)
-            else:
-                self._remove_left(ci, key, pool.ids[tok])
-            ev = self._emit(ci, "left", tag, key, parent_ev)
-            right = self.memories.right[ci].get(key)
-            if right and children:
-                residuals = self.residuals[ci]
-                for wme in right:
-                    get = wme.attrs.get
-                    for pos, test, attr in residuals:
-                        if not test(get(attr, NIL), values[pos]):
-                            break
-                    else:
-                        ntok = self._extend(ci, tok, wme, allocs)
-                        for cci in children:
-                            items.append((cci, ntok, tag))
-            return [ev, items, 0]
-
-        # negative node
-        ev = self._emit(ci, "left", tag, key, parent_ev)
-        counts = self.neg_counts[ci]
-        ids = pool.ids[tok]
-        if tag == PLUS:
-            buckets.setdefault(key, []).append(tok)
-            pool.retain(tok)
-            count = 0
-            right = self.memories.right[ci].get(key)
-            if right:
-                residuals = self.residuals[ci]
-                for wme in right:
-                    get = wme.attrs.get
-                    for pos, test, attr in residuals:
-                        if not test(get(attr, NIL), values[pos]):
-                            break
-                    else:
-                        count += 1
-            counts[ids] = count
-            if count == 0:
-                items = [(cci, tok, PLUS) for cci in children]
-        else:
-            self._remove_left(ci, key, ids)
-            if counts.pop(ids, 0) == 0:
-                items = [(cci, tok, MINUS) for cci in children]
-        return [ev, items, 0]
-
-    def _enter_right(self, ci: int, wme: WME, tag: str,
-                     allocs: List[int]):
-        """Entry actions of one right (wme) activation at its node."""
-        get = wme.attrs.get
-        key = tuple([get(a, NIL) for a in self.right_key_attrs[ci]])
-        rbuckets = self.memories.right[ci]
-        if tag == PLUS:
-            rbuckets.setdefault(key, []).append(wme)
-        else:
-            bucket = rbuckets.get(key)
-            if bucket:
-                try:
-                    bucket.remove(wme)
-                except ValueError:
-                    pass
-                else:
-                    if not bucket:
-                        del rbuckets[key]
-        ev = self._emit(ci, "right", tag, key, None)
-        pool = self.pool
-        items: List[Tuple[int, int, str]] = []
-        children = self.children[ci]
-        left = self.memories.left[ci].get(key)
-        if left:
-            residuals = self.residuals[ci]
-            values_arr = pool.values
-            if self.kind[ci] == KIND_JOIN:
-                for tok in left:
-                    values = values_arr[tok]
-                    for pos, test, attr in residuals:
-                        if not test(get(attr, NIL), values[pos]):
-                            break
-                    else:
-                        if children:
-                            ntok = self._extend(ci, tok, wme, allocs)
-                            for cci in children:
-                                items.append((cci, ntok, tag))
-            else:
-                counts = self.neg_counts[ci]
-                ids_arr = pool.ids
-                for tok in left:
-                    values = values_arr[tok]
-                    for pos, test, attr in residuals:
-                        if not test(get(attr, NIL), values[pos]):
-                            break
-                    else:
-                        ids = ids_arr[tok]
-                        if tag == PLUS:
-                            count = counts.get(ids, 0) + 1
-                            counts[ids] = count
-                            if count == 1:
-                                # Was propagated; retract downstream.
-                                for cci in children:
-                                    items.append((cci, tok, MINUS))
-                        else:
-                            count = counts.get(ids, 1) - 1
-                            counts[ids] = count
-                            if count == 0:
-                                for cci in children:
-                                    items.append((cci, tok, PLUS))
-        return [ev, items, 0]
-
-    # -- untraced fast path ---------------------------------------------------
-
-    def _fast_right(self, ci: int, wme: WME, tag: str,
-                    allocs: List[int]) -> None:
-        """Right activation with no observers: no events, lean walk."""
         get = wme.attrs.get
         key = tuple([get(a, NIL) for a in self.right_key_attrs[ci]])
         rbuckets = self.memories.right[ci]
@@ -575,18 +413,30 @@ class ReteKernel:
                 else:
                     if not bucket:
                         del rbuckets[key]
+        act = None
+        if sink is None:
+            tchildren = self.term_children[ci]
+            join_kids = self.beta_children[ci]
+            neg_kids = self.children[ci]
+        else:
+            net = self.net
+            act = net._next_act_id
+            net._next_act_id = act + 1
+            sink.append((act, None, ci, "right", tag, key))
+            tchildren = ()
+            join_kids = neg_kids = self.rev_children[ci]
         left = self.memories.left[ci].get(key)
         if not left:
             return
+        if sink is not None:
+            left = reversed(left)
         pool = self.pool
-        stack: List[Tuple[int, int, str]] = []
-        children = self.children[ci]
+        stack: List[Tuple[int, int, str, Optional[int]]] = []
+        push = stack.append
         residuals = self.residuals[ci]
         values_arr = pool.values
         if self.kind[ci] == KIND_JOIN:
-            if children:
-                tchildren = self.term_children[ci]
-                bchildren = self.beta_children[ci]
+            if self.children[ci]:
                 copy_vals = self.copy_values[ci]
                 plan = self.merge_plan[ci]
                 ids_arr = pool.ids
@@ -618,11 +468,11 @@ class ReteKernel:
                                     dict(zip(term_names[tci], nvalues)))
                             else:
                                 insts.pop(nids, None)
-                        if bchildren:
+                        if join_kids:
                             ntok = alloc(nids, nwmes, nvalues)
                             allocs.append(ntok)
-                            for cci in bchildren:
-                                stack.append((cci, ntok, tag))
+                            for cci in join_kids:
+                                push((cci, ntok, tag, act))
         else:
             counts = self.neg_counts[ci]
             ids_arr = pool.ids
@@ -637,28 +487,38 @@ class ReteKernel:
                         count = counts.get(ids, 0) + 1
                         counts[ids] = count
                         if count == 1:
-                            for cci in children:
-                                stack.append((cci, tok, MINUS))
+                            # Was propagated; retract downstream.
+                            for cci in neg_kids:
+                                push((cci, tok, MINUS, act))
                     else:
                         count = counts.get(ids, 1) - 1
                         counts[ids] = count
                         if count == 0:
-                            for cci in children:
-                                stack.append((cci, tok, PLUS))
+                            for cci in neg_kids:
+                                push((cci, tok, PLUS, act))
         if stack:
-            self._walk_fast(stack, allocs)
+            self._walk(stack, allocs, sink)
 
-    def _walk_fast(self, stack: List[Tuple[int, int, str]],
-                   allocs: List[int]) -> None:
-        """Propagate left activations with no observers attached.
+    def _walk(self, stack: List[Tuple[int, int, str, Optional[int]]],
+              allocs: List[int], sink: Optional[list]) -> None:
+        """Propagate left activations: the kernel's one walk.
 
-        With nobody listening there are no events to order, and within
-        one root activation the final memory/count/conflict-set state
-        is independent of sibling processing order: every node has a
+        Stack items are ``(ci, token, tag, parent act id)``.  Within one
+        root activation the final memory/count/conflict-set state is
+        independent of sibling processing order: every node has a
         unique left-input path from the root, and right buckets are
-        only mutated at roots.  A bare LIFO work stack therefore
-        replaces the event-ordered frame machine of :meth:`_drain` —
-        this is the match hot path the benchmarks measure.
+        only mutated at roots.  So with nobody recording, a bare LIFO
+        stack suffices, and join outputs reach terminal children
+        inline, without a pool slot for tokens that exist only to
+        become a conflict-set entry.
+
+        With a ``sink`` list, each popped activation appends the row
+        ``(act_id, parent_id, ci, side, tag, key)`` and takes the next
+        act id.  Siblings are then pushed in reverse (bucket entries
+        backwards, children from :attr:`rev_children`) and terminal
+        children go through the stack too, so LIFO pops visit the
+        activation forest in the reference engine's pre-order: rows
+        arrive in ascending act-id order with the reference's ids.
         """
         pool = self.pool
         pop = stack.pop
@@ -669,8 +529,6 @@ class ReteKernel:
         right_mem = self.memories.right
         residuals_arr = self.residuals
         children_arr = self.children
-        tchildren_arr = self.term_children
-        bchildren_arr = self.beta_children
         copy_values_arr = self.copy_values
         merge_plan_arr = self.merge_plan
         term_insts_arr = self.term_insts
@@ -682,23 +540,41 @@ class ReteKernel:
         alloc = pool.alloc
         allocs_append = allocs.append
         retain = pool.retain
+        act = None
+        if sink is None:
+            tchildren_arr = self.term_children
+            join_kids_arr = self.beta_children
+            neg_kids_arr = children_arr
+        else:
+            record = sink.append
+            net = self.net
+            next_act = net._next_act_id
+            tchildren_arr = self.no_children
+            join_kids_arr = neg_kids_arr = self.rev_children
         while stack:
-            ci, tok, tag = pop()
+            ci, tok, tag, parent = pop()
             kind = kinds[ci]
             if kind == KIND_TERMINAL:
-                insts = self.term_insts[ci]
+                if sink is not None:
+                    record((next_act, parent, ci, "left", tag, ()))
+                    next_act += 1
+                insts = term_insts_arr[ci]
                 ids = ids_arr[tok]
                 if tag == PLUS:
                     insts[ids] = Instantiation(
-                        production=self.term_prod[ci],
-                        wmes=pool.wmes[tok],
-                        bindings=dict(zip(self.term_names[ci],
+                        production=term_prod_arr[ci],
+                        wmes=wmes_arr[tok],
+                        bindings=dict(zip(term_names_arr[ci],
                                           values_arr[tok])))
                 else:
                     insts.pop(ids, None)
                 continue
             values = values_arr[tok]
             key = tuple([values[p] for p in key_pos_arr[ci]])
+            if sink is not None:
+                act = next_act
+                next_act += 1
+                record((act, parent, ci, "left", tag, key))
             children = children_arr[ci]
             buckets = left_mem[ci]
             if kind == KIND_JOIN:
@@ -715,7 +591,9 @@ class ReteKernel:
                 if right and children:
                     residuals = residuals_arr[ci]
                     tchildren = tchildren_arr[ci]
-                    bchildren = bchildren_arr[ci]
+                    kids = join_kids_arr[ci]
+                    if sink is not None:
+                        right = reversed(right)
                     copy_vals = copy_values_arr[ci]
                     plan = merge_plan_arr[ci]
                     ids_tok = ids_arr[tok]
@@ -746,11 +624,11 @@ class ReteKernel:
                                              nvalues)))
                             else:
                                 insts.pop(nids, None)
-                        if bchildren:
+                        if kids:
                             ntok = alloc(nids, nwmes, nvalues)
                             allocs_append(ntok)
-                            for cci in bchildren:
-                                push((cci, ntok, tag))
+                            for cci in kids:
+                                push((cci, ntok, tag, act))
                 continue
             # negative node
             counts = self.neg_counts[ci]
@@ -778,30 +656,15 @@ class ReteKernel:
                         count = len(right)
                 counts[ids] = count
                 if count == 0:
-                    for cci in children:
-                        push((cci, tok, PLUS))
+                    for cci in neg_kids_arr[ci]:
+                        push((cci, tok, PLUS, act))
             else:
                 self._remove_left(ci, key, ids)
                 if counts.pop(ids, 0) == 0:
-                    for cci in children:
-                        push((cci, tok, MINUS))
-
-    def _extend(self, ci: int, tok: int, wme: WME,
-                allocs: List[int]) -> int:
-        """Allocate the join-output token per the node's merge plan."""
-        pool = self.pool
-        parent = pool.values[tok]
-        if self.copy_values[ci]:
-            values = parent  # no new bindings: share the parent tuple
-        else:
-            get = wme.attrs.get
-            values = tuple([
-                intern_value(get(src, NIL)) if from_wme else parent[src]
-                for from_wme, src in self.merge_plan[ci]])
-        ntok = pool.alloc(pool.ids[tok] + (wme.wme_id,),
-                          pool.wmes[tok] + (wme,), values)
-        allocs.append(ntok)
-        return ntok
+                    for cci in neg_kids_arr[ci]:
+                        push((cci, tok, MINUS, act))
+        if sink is not None:
+            net._next_act_id = next_act
 
     def _remove_left(self, ci: int, key: tuple,
                      ids: Tuple[int, ...]) -> None:
@@ -822,31 +685,6 @@ class ReteKernel:
                     del buckets[key]
                 pool.release(idx)
                 return
-
-    # -- activation reporting ------------------------------------------------
-
-    def _emit(self, ci: int, side: str, tag: str, key: tuple,
-              parent_ev) -> Optional[ActivationEvent]:
-        net = self.net
-        if not net.observers:
-            return None
-        node_id = self.node_id[ci]
-        ev = ActivationEvent(
-            act_id=net._next_act_id,
-            parent_id=parent_ev.act_id if parent_ev is not None else None,
-            node_id=node_id, node_label=self.label[ci],
-            node_kind=self.kind_str[ci], side=side, tag=tag,
-            key=BucketKey(node_id, key))
-        net._next_act_id += 1
-        return ev
-
-    def _finish(self, ev: Optional[ActivationEvent],
-                n_successors: int) -> None:
-        if ev is None:
-            return
-        ev.n_successors = n_successors
-        for observer in self.net.observers:
-            observer(ev)
 
     # -- results --------------------------------------------------------------
 

@@ -17,27 +17,26 @@ pooled token store and class-indexed alpha dispatch — which executes
 all waves from then on.  The original object-dispatch engine survives
 unchanged as :class:`repro.rete._reference.ReferenceReteNetwork`; the
 ``rete_fast_vs_reference`` conformance oracle pins the two to identical
-conflict sets and activation-event streams.
+conflict sets and activation streams.
 
-Every two-input/terminal activation is reported to ``observers`` as an
-:class:`~repro.rete.stats.ActivationEvent` — the raw material for the
-Figure 4-1 trace.
+Setting :attr:`ReteNetwork.sink` to a list makes the kernel append one
+row per two-input/terminal activation — the raw material for the
+Figure 4-1 trace, which :class:`~repro.trace.recorder.TraceRecorder`
+turns into a section.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ops5.ast import Production
 from ..ops5.conflict import Instantiation
 from ..ops5.wme import WME
 from .builder import NetworkBuilder
-from .hashing import BucketKey
 from .kernel import ReteKernel
 from .memory import FlatMemories
 from .nodes import (AlphaPattern, BetaNode, BindingSpec, JoinNode,
                     NegativeNode, ProductionNode)
-from .stats import ActivationEvent
 from .tokens import MINUS, PLUS
 
 
@@ -70,7 +69,12 @@ class ReteNetwork:
         #: (numpy importable, ``REPRO_RETE_NUMPY`` env var honoured),
         #: True/False forces the choice.  See :mod:`repro.rete.kernel`.
         self.use_numpy = use_numpy
-        self.observers: List[Callable[[ActivationEvent], None]] = []
+        #: Activation recording: None (the default) runs the untraced
+        #: walk; a list receives one row ``(act_id, parent_id, ci,
+        #: side, tag, key)`` per activation, in act-id order, where
+        #: ``ci`` is the kernel's compact node index and ``key`` the
+        #: bucket's equality-test value tuple.
+        self.sink: Optional[list] = None
         self._builder = NetworkBuilder(self)
         self._alpha_patterns: List[AlphaPattern] = []
         self._subscriptions: Dict[int, List[_Subscription]] = {}
@@ -83,6 +87,7 @@ class ReteNetwork:
         self.production_nodes: Dict[str, List[int]] = {}
         self._next_node_id = 1
         self._next_pattern_id = 1
+        #: next act id; only recorded activations consume ids
         self._next_act_id = 1
         self._live_wme_count = 0
         self._wmes_seen = False
@@ -167,36 +172,6 @@ class ReteNetwork:
                   unit_bindings: Tuple[BindingSpec, ...] = ()) -> None:
         self._subscriptions[pattern.pattern_id].append(
             _Subscription(node, side, unit_bindings))
-
-    # -- activation reporting ---------------------------------------------------------
-
-    def emit_activation(self, node: BetaNode, side: str, tag: str,
-                        key: BucketKey, parent_act: Optional[int]) -> \
-            Optional[ActivationEvent]:
-        """Open an activation event.  Returns None when nobody listens.
-
-        Kept for API parity with the reference engine; the kernel emits
-        its events directly (same ids, same order).
-        """
-        if not self.observers:
-            return None
-        event = ActivationEvent(
-            act_id=self._next_act_id, parent_id=(
-                parent_act.act_id if isinstance(parent_act, ActivationEvent)
-                else parent_act),
-            node_id=node.node_id, node_label=node.label,
-            node_kind=node.kind, side=side, tag=tag, key=key)
-        self._next_act_id += 1
-        return event
-
-    def finish_activation(self, event: Optional[ActivationEvent],
-                          n_successors: int) -> None:
-        """Close an activation event and deliver it to observers."""
-        if event is None:
-            return
-        event.n_successors = n_successors
-        for observer in self.observers:
-            observer(event)
 
     # -- introspection -----------------------------------------------------------------
 

@@ -2,10 +2,11 @@
 
 An *activation* (paper Section 2.2) is the combined act of storing a
 token in a memory node and running the associated two-input node test.
-Every activation in a network run is reported to registered observers as
-an :class:`ActivationEvent`; the trace recorder builds simulator input
-from these, and :class:`ActivationCounter` aggregates them into the
-left/right totals of the paper's Table 5-2.
+The frozen reference engine reports every activation to registered
+observers as an :class:`ActivationEvent`; for the match kernel,
+:meth:`repro.trace.recorder.TraceRecorder.events` rebuilds the same
+events from its recorded rows.  :class:`ActivationCounter` aggregates
+events into the left/right totals of the paper's Table 5-2.
 """
 
 from __future__ import annotations

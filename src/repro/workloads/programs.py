@@ -10,7 +10,8 @@ cross-products all appear.
 from __future__ import annotations
 
 from ..ops5 import Program, parse_program
-from ..trace.cache import cached_trace, trace_key
+from ..trace.cache import (cached_trace, module_source, source_fingerprint,
+                           trace_key)
 from ..trace.events import SectionTrace
 from ..trace.recorder import record_program
 
@@ -140,11 +141,14 @@ def router_program() -> Program:
 def _recorded_trace(source: str, name: str) -> SectionTrace:
     """Record *source* once; load the trace from the cache thereafter.
 
-    The cache key is the OPS5 program text itself, so editing a program
-    re-records it, and ``REPRO_TRACE_CACHE=0`` always re-runs the full
-    OPS5 → Rete → trace pipeline.
+    The cache key covers the OPS5 program text and the source of the
+    match kernel and the recorder, so editing a program or the code
+    that records it re-records it, and ``REPRO_TRACE_CACHE=0`` always
+    re-runs the full OPS5 → Rete → trace pipeline.
     """
-    key = trace_key(f"program-{name}", source=source, name=name)
+    key = trace_key(f"program-{name}", name=name, source=source_fingerprint(
+        source, module_source("repro.rete.kernel"),
+        module_source("repro.trace.recorder")))
     return cached_trace(
         key, lambda: record_program(parse_program(source), name))
 

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.check import (ProgramCase, TraceCase, build_case,
+from repro.check import (CheckFailure, ProgramCase, TraceCase, build_case,
                          generate_cases, mutated_right_token_cost,
                          run_check, run_invariants, run_oracles,
                          shrink_program, shrink_trace)
@@ -180,6 +180,14 @@ class TestShrinkProgram:
         _, shrunk = shrink_program(rules, script, fails)
         assert fails(rules, shrunk)
         assert len(shrunk) == 2  # one add + its remove
+
+    def test_failure_on_program_case_describes_itself(self):
+        case = self._program()
+        failure = CheckFailure(case=case.descriptor(),
+                               checks=[("rete_vs_naive", "diverged")],
+                               repro=case.descriptor())
+        assert failure.describe() == (
+            f"case {case.index} (seed 0, program): rete_vs_naive")
 
 
 class TestCLI:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.ops5 import NaiveMatcher, parse_production
 from repro.ops5.wme import WME
 from repro.rete import ReferenceReteNetwork, ReteNetwork
+from repro.trace import TraceRecorder
 
 CLASSES = ["a", "b", "c"]
 #: Exact ints, floats (``1.0`` equals ``1`` under OPS5 equality but is a
@@ -197,13 +198,12 @@ def test_const_battery_vectorized_parity(rules, script):
 
 @given(rules=rule_subsets(), script=churn_scripts())
 def test_traced_equals_untraced_final_state(rules, script):
-    """An observer must not change what the kernel computes — only
-    whether events are emitted.  The traced stack machine and the
-    untraced fast walk must land in identical final states."""
+    """Recording must not change what the kernel computes — only
+    whether rows are appended.  The kernel's walk with a sink and
+    without one must land in identical final states."""
     traced = ReteNetwork()
     untraced = ReteNetwork()
-    events = []
-    traced.observers.append(events.append)
+    recorder = TraceRecorder(traced)
     engines = (traced, untraced)
     for source in rules:
         production = parse_production(source)
@@ -217,6 +217,8 @@ def test_traced_equals_untraced_final_state(rules, script):
     assert traced.memories.counts() == untraced.memories.counts()
     assert (traced.kernel.pool.live_count()
             == untraced.kernel.pool.live_count())
+    ids = [row[0] for row in recorder.rows]
+    assert ids == list(range(1, len(ids) + 1))
 
 
 @pytest.mark.fuzz

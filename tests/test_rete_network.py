@@ -6,6 +6,7 @@ import pytest
 from repro.ops5 import parse_production
 from repro.ops5.wme import WME
 from repro.rete import ActivationCounter, ReteNetwork, build_network
+from repro.trace import TraceRecorder
 
 
 def net_for(*sources):
@@ -14,6 +15,13 @@ def net_for(*sources):
 
 def names(network):
     return sorted(i.production.name for i in network.conflict_set())
+
+
+def counted(recorder):
+    counter = ActivationCounter()
+    for event in recorder.events():
+        counter(event)
+    return counter
 
 
 class TestJoins:
@@ -189,25 +197,28 @@ class TestAlwaysFalseCE:
 
 
 class TestActivationEvents:
+    """Activations as the recorder's rows report them (see
+    :meth:`TraceRecorder.events`)."""
+
     def test_counter_sees_left_and_right(self):
         net = net_for("(p r (a ^v <x>) (b ^w <x>) --> (remove 1))")
-        counter = ActivationCounter()
-        net.observers.append(counter)
+        recorder = TraceRecorder(net)
         net.add_wme(WME(1, "a", {"v": 7}))   # left activation (CE1)
         net.add_wme(WME(2, "b", {"w": 7}))   # right activation (CE2)
+        counter = counted(recorder)
         assert counter.left == 1
         assert counter.right == 1
         assert counter.terminal == 1
         assert counter.successors == 1
 
     def test_parent_child_linkage(self):
-        events = []
         net = net_for(
             "(p r (a ^v <x>) (b ^w <x>) (c) --> (remove 1))")
-        net.observers.append(events.append)
+        recorder = TraceRecorder(net)
         net.add_wme(WME(1, "c", {}))
         net.add_wme(WME(2, "a", {"v": 7}))
         net.add_wme(WME(3, "b", {"w": 7}))
+        events = recorder.events()
         by_id = {e.act_id: e for e in events}
         roots = [e for e in events if e.parent_id is None]
         children = [e for e in events if e.parent_id is not None]
@@ -218,11 +229,11 @@ class TestActivationEvents:
 
     def test_successor_count_on_cross_product(self):
         net = net_for("(p r (a) (b) --> (remove 1))")
-        counter = ActivationCounter()
         for i in range(5):
             net.add_wme(WME(i + 1, "a", {}))
-        net.observers.append(counter)
+        recorder = TraceRecorder(net)   # earlier waves stay unrecorded
         net.add_wme(WME(99, "b", {}))
+        counter = counted(recorder)
         # One right activation meeting 5 stored left tokens.
         assert counter.right == 1
         assert counter.successors == 5
@@ -230,4 +241,5 @@ class TestActivationEvents:
     def test_no_observer_no_overhead_path(self):
         net = net_for("(p r (a) --> (halt))")
         net.add_wme(WME(1, "a", {}))   # must simply not crash
+        assert net.sink is None
         assert len(net.conflict_set()) == 1

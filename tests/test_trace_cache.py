@@ -119,6 +119,25 @@ class TestInvalidation:
         assert len(builds) == 2, \
             "changed source must map to a different cache entry"
 
+    @pytest.mark.parametrize("module", ["repro.rete.kernel",
+                                        "repro.trace.recorder"])
+    def test_program_trace_key_covers_recording_code(self, module,
+                                                     monkeypatch):
+        """Recorded program traces re-record when the kernel or the
+        recorder changes, not only when the OPS5 text does."""
+        import repro.workloads.programs as programs
+        keys = []
+        monkeypatch.setattr(programs, "cached_trace",
+                            lambda key, build: keys.append(key))
+        programs.blocks_world_trace()
+        real = programs.module_source
+        monkeypatch.setattr(
+            programs, "module_source",
+            lambda name: real(name) + ("# edited" if name == module
+                                       else ""))
+        programs.blocks_world_trace()
+        assert keys[0] != keys[1]
+
     def test_explicit_invalidate(self):
         key = trace_key("inv", seed=0)
         builds = []

@@ -3,9 +3,15 @@
 import pytest
 
 from repro.ops5 import Interpreter, parse_program
-from repro.rete import ReteNetwork
-from repro.trace import (KIND_TERMINAL, TraceRecorder, record_program,
-                         validate_trace)
+from repro.rete import ReferenceReteNetwork, ReteNetwork
+from repro.trace import (KIND_TERMINAL, CycleTrace, SectionTrace,
+                         TraceActivation, TraceRecorder, record_program,
+                         set_cache_enabled, validate_trace)
+from repro.workloads import MATCH_PROGRAMS
+from repro.workloads.programs import (BLOCKS_WORLD, GRID_ROUTER,
+                                      MONKEY_AND_BANANAS,
+                                      blocks_world_trace, monkey_trace,
+                                      router_trace)
 
 PROGRAM = """
 (startup
@@ -126,3 +132,153 @@ class TestSectionHelpers:
         stats = record().stats()
         row = stats.row("test")
         assert "test" in row and "%" in row
+
+
+# ---------------------------------------------------------------------------
+# Recorder against the frozen reference engine, on the paper's workloads
+# ---------------------------------------------------------------------------
+
+WORKLOADS = {
+    "blocks": BLOCKS_WORLD,
+    "monkey": MONKEY_AND_BANANAS,
+    "router": GRID_ROUTER,
+    **{f"{name}-{seed}": make(seed=seed)
+       for name, make in MATCH_PROGRAMS.items() for seed in (0, 7)},
+}
+
+
+class _ReferenceSectionBuilder:
+    """Groups the reference engine's activation events by MRA cycle.
+
+    An independent section builder: one trace activation per event as
+    it arrives (post-order), successor lists rebuilt from parent links
+    at the end — what the recorder did before it read kernel rows.
+    The raw events are kept for comparison with
+    :meth:`TraceRecorder.events`.
+    """
+
+    def __init__(self, network) -> None:
+        self.events = []
+        self._cycles = {}
+        self._current = 0
+        network.observers.append(self._on_event)
+
+    def set_cycle(self, cycle):
+        self._current = cycle
+
+    def _on_event(self, event):
+        self.events.append(event)
+        cycle = self._cycles.setdefault(self._current,
+                                        CycleTrace(self._current))
+        cycle.add(TraceActivation(
+            act_id=event.act_id, parent_id=event.parent_id,
+            node_id=event.node_id, kind=event.node_kind, side=event.side,
+            tag=event.tag, key=event.key))
+
+    def section(self, name):
+        cycles = []
+        for index in sorted(self._cycles):
+            children = {}
+            for act in self._cycles[index]:
+                if act.parent_id is not None:
+                    children.setdefault(act.parent_id, []).append(
+                        act.act_id)
+            rebuilt = CycleTrace(index=index)
+            for act in self._cycles[index]:
+                rebuilt.add(TraceActivation(
+                    act_id=act.act_id, parent_id=act.parent_id,
+                    node_id=act.node_id, kind=act.kind, side=act.side,
+                    tag=act.tag, key=act.key,
+                    successors=tuple(sorted(children.get(act.act_id,
+                                                         ())))))
+            cycles.append(rebuilt)
+        return SectionTrace(name=name, cycles=cycles)
+
+
+def _reference_run(source):
+    network = ReferenceReteNetwork()
+    builder = _ReferenceSectionBuilder(network)
+    interp = Interpreter(matcher=network)
+    interp.cycle_listeners.append(builder.set_cycle)
+    interp.load_program(parse_program(source))
+    interp.run(max_cycles=10_000)
+    return builder
+
+
+def _recorded(source, use_numpy=None):
+    network = ReteNetwork(use_numpy=use_numpy)
+    recorder = TraceRecorder(network)
+    interp = Interpreter(matcher=network)
+    recorder.attach(interp)
+    interp.load_program(parse_program(source))
+    interp.run(max_cycles=10_000)
+    return recorder
+
+
+@pytest.fixture
+def cache_off():
+    set_cache_enabled(False)
+    yield
+    set_cache_enabled(None)
+
+
+EVENT_FIELDS = ("act_id", "parent_id", "node_id", "node_label",
+                "node_kind", "side", "tag", "key", "n_successors")
+
+
+def _event_tuples(events):
+    return [tuple(getattr(e, f) for f in EVENT_FIELDS) for e in events]
+
+
+@pytest.mark.parametrize("use_numpy", [None, False],
+                         ids=["numpy-auto", "no-numpy"])
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_recorder_matches_reference(name, use_numpy, cache_off):
+    source = WORKLOADS[name]
+    reference = _reference_run(source)
+    want = reference.section(name)
+    assert want.total_activations() > 0
+    recorder = _recorded(source, use_numpy)
+    ids = [row[0] for row in recorder.rows]
+    assert ids == list(range(1, len(ids) + 1)), "rows out of act-id order"
+    got = recorder.section(name)
+    assert [c.index for c in got] == [c.index for c in want]
+    for mine, theirs in zip(got, want):
+        assert list(mine) == list(theirs), f"cycle {theirs.index}"
+    assert got == want
+    assert recorder.section(name, drop_setup_cycle=True) == SectionTrace(
+        name, [c for c in want.cycles if c.index != 0])
+    assert (_event_tuples(recorder.events())
+            == _event_tuples(reference.events))
+
+
+@pytest.mark.parametrize("helper, source, name", [
+    (blocks_world_trace, BLOCKS_WORLD, "blocks-world"),
+    (monkey_trace, MONKEY_AND_BANANAS, "monkey-and-bananas"),
+    (router_trace, GRID_ROUTER, "grid-router"),
+])
+def test_program_trace_helpers_use_the_recorder(helper, source, name,
+                                                cache_off):
+    want = _reference_run(source).section(name)
+    assert helper() == SectionTrace(
+        name, [c for c in want.cycles if c.index != 0])
+
+
+def test_recorder_attached_mid_stream():
+    from repro.ops5 import parse_production
+    from repro.ops5.wme import WME
+    net = ReteNetwork()
+    net.add_production(parse_production("(p r (a) (b) --> (remove 1))"))
+    for i in range(5):
+        net.add_wme(WME(i + 1, "a", {}))
+    rec = TraceRecorder(net)
+    b = WME(99, "b", {})
+    net.add_wme(b)
+    trace = rec.section("late")
+    (cycle,) = trace.cycles
+    (root,) = cycle.roots()
+    assert root.act_id == 1 and root.side == "right"
+    assert len(root.successors) == 5
+    later = TraceRecorder(net)
+    net.remove_wme(b)
+    assert later.rows[0][0] == rec.rows[-1][0] + 1

@@ -1,12 +1,15 @@
 """Tests (incl. property-based) for the parameterized section generator."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mpc import simulate, simulate_base, speedup
-from repro.trace import validate_trace
-from repro.workloads import SectionSpec, generate_section
+from repro.trace import IdleRun, validate_trace
+from repro.workloads import (SectionSpec, StreamSpec, SyntheticStream,
+                             generate_section)
 
 
 class TestBasics:
@@ -134,3 +137,51 @@ def test_generator_properties(cycles, rights, lefts, fanout, buckets,
     assert stats.left == lefts and stats.right == rights
     run = simulate(trace, n_procs=4)
     assert run.total_us > 0
+
+
+class TestSyntheticStreamPinned:
+    """Draw-for-draw pins of seeded :class:`SyntheticStream` output.
+
+    The streams are benchmark data (perfbench's sparse grid, the scale
+    sweep), so a faster generator must reproduce them exactly.  The
+    digest covers every activation field in iteration order, and the
+    idle markers are pinned both inside it and explicitly.
+    """
+
+    @staticmethod
+    def _digest(stream):
+        digest = hashlib.sha256()
+        idle = []
+        for entry in stream:
+            if isinstance(entry, IdleRun):
+                idle.append((entry.start_index, entry.count))
+                digest.update(repr(("idle", entry.start_index,
+                                    entry.count)).encode())
+                continue
+            for act in entry:
+                digest.update(repr((
+                    entry.index, act.act_id, act.parent_id, act.node_id,
+                    act.kind, act.side, act.tag, act.key.node_id,
+                    act.key.values, act.successors)).encode())
+        return digest.hexdigest(), idle
+
+    def test_sparse_grid_stream(self):
+        # perfbench's sparse_spec(1): 50 active x 100, 200 idle between
+        stream = SyntheticStream(StreamSpec(
+            name="sparse", active_cycles=50, activations_per_cycle=100,
+            idle_between=200, seed=1))
+        digest, idle = self._digest(stream)
+        assert idle == [(2 + 201 * k, 200) for k in range(50)]
+        assert digest == ("1664c5d243cc7e3fcf47bf708f5019ee"
+                          "a566b4bdbfc0de212e124e7b788e018d")
+
+    def test_scale_sweep_stream_shape(self):
+        # the scale sweep's shape (1000 per cycle, 2800 idle between,
+        # 4 terminals), cut to its first 20 active cycles
+        stream = SyntheticStream(StreamSpec(
+            name="scale", active_cycles=20, activations_per_cycle=1_000,
+            idle_between=2_800, terminals_per_cycle=4, seed=0))
+        digest, idle = self._digest(stream)
+        assert idle == [(2 + 2801 * k, 2800) for k in range(20)]
+        assert digest == ("3278b65d9ba3971911d2c4e452a2c73c"
+                          "f27e782185b893bd0b9f1bb98c245eb5")
